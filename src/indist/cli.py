@@ -389,7 +389,7 @@ def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
     try:
         with open(args.universe_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         stderr.write(f"cannot read universe file: {exc}\n")
         return EXIT_INVALID_INPUT
     try:
@@ -427,10 +427,13 @@ def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        stderr.write(f"invalid tolerance {args.tolerance!r}: need a finite number >= 0\n")
+        return EXIT_INVALID_INPUT
     try:
         with open(args.table_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         stderr.write(f"cannot read table file: {exc}\n")
         return EXIT_INVALID_INPUT
     try:
@@ -445,18 +448,22 @@ def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
         return EXIT_INVALID_INPUT
 
     axioms_hold = all(r.holds for r in reports)
+    rows = space.base.rows
     degrees = []
     if space.axioms_hold:
-        for i, a in enumerate(sources):
-            for b in sources[i + 1 :]:
-                degrees.append({"a": a, "b": b, "degree": qmetric.degree(space, a, b)})
+        # Pairs a < b in source order; r = 1 - d as in qmetric.degree.
+        for i, (a, row) in enumerate(zip(sources, rows)):
+            for b, d in zip(sources[i + 1 :], row[i + 1 :]):
+                degrees.append({"a": a, "b": b, "degree": 1.0 - d})
 
-    inputs = {"sources": sources, "pid": [[float(v) for v in row] for row in pid]}
+    inputs = {
+        "sources": sources,
+        "pid": [[float(v) for v in row] for row in pid],
+        "tolerance": args.tolerance,
+    }
     status = EXIT_OK if axioms_hold else EXIT_AXIOMS_FAILED
     outputs = {
-        "distance": [
-            [space.base.distance(a, b) for b in sources] for a in sources
-        ],
+        "distance": rows,
         "reports": [_axiom_report_dict(r) for r in reports],
         "degrees": degrees,
         "axioms_hold": axioms_hold,

@@ -34,7 +34,11 @@ answers whether the physical numbers actually form one.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import add, gt, sub
 from typing import Mapping, Optional, Sequence
 
 from .quasiset import (
@@ -74,14 +78,35 @@ class QuasiMetricSpace:
     """Carrier terms plus a distance table indexed by ordered pairs.
 
     The table may violate any of QM1-QM6; :func:`verify_qm_axioms` is the
-    judge, not the constructor.
+    judge, not the constructor.  The checks read the table through
+    :attr:`rows`, a dense matrix indexed by carrier position that is built
+    once on first use.
     """
 
     carrier: tuple[str, ...]
     distances: Mapping[tuple[str, str], float]
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Carrier name -> position (the last one, should a name repeat)."""
+        return {name: i for i, name in enumerate(self.carrier)}
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """Row-major matrix with ``rows[i][j] = d(carrier[i], carrier[j])``.
+
+        Raises IncompleteTable naming the first missing pair in row-major
+        order.
+        """
+        carrier, table = self.carrier, self.distances
+        try:
+            return tuple(tuple([table[(a, b)] for b in carrier]) for a in carrier)
+        except KeyError:
+            a, b = next((a, b) for a in carrier for b in carrier if (a, b) not in table)
+            raise IncompleteTable(f"no distance entry for ({a!r}, {b!r})") from None
+
     def distance(self, a: str, b: str) -> float:
-        if a not in self.carrier or b not in self.carrier:
+        if a not in self.index or b not in self.index:
             raise NotInCarrier(f"({a!r}, {b!r}) not in carrier")
         try:
             return self.distances[(a, b)]
@@ -91,11 +116,16 @@ class QuasiMetricSpace:
 
 @dataclass(frozen=True)
 class DifferentiationSpace:
-    """Quasi-metric space with distances in [0, 1], plus its axiom audit."""
+    """Quasi-metric space with distances in [0, 1], plus its axiom audit.
+
+    ``tol`` is the tolerance the audit was made at; degree comparisons on
+    the space use it too.
+    """
 
     base: QuasiMetricSpace
     universe: Universe
     axiom_reports: tuple[AxiomReport, ...] = field(default_factory=tuple)
+    tol: float = DEFAULT_TOL
 
     @property
     def axioms_hold(self) -> bool:
@@ -113,66 +143,75 @@ def verify_qm_axioms(
     ``relation`` defaults to the model's indistinguishability; swapping in
     uid equality turns QM4 into the ordinary metric-space axiom.  Numeric
     comparisons use ``tol``.  Raises IncompleteTable when an ordered pair
-    has no entry.
+    has no entry.  Each counterexample is the first failing pair or triple
+    in row-major carrier order.
+
+    The relation is evaluated once per ordered pair.  QM6 and congruence
+    test a whole row per C-level iterator chain (QM6 costs O(n^3)
+    comparisons, congruence O(k n) for k related pairs) and only scan in
+    Python to name the witness once a row is known to fail.
     """
     rel = relation if relation is not None else indist
     carrier = space.carrier
-
-    table: dict[tuple[str, str], float] = {}
-    for a in carrier:
-        for b in carrier:
-            table[(a, b)] = space.distance(a, b)
+    rows = space.rows
+    related = [[bool(rel(universe, a, b)) for b in carrier] for a in carrier]
 
     reports = [AxiomReport("QM1", len(carrier) > 0, None if carrier else ())]
 
-    qm2 = AxiomReport("QM2", True)
-    qm3 = AxiomReport("QM3", True)
-    qm4 = AxiomReport("QM4", True)
-    qm5 = AxiomReport("QM5", True)
-    for a in carrier:
-        for b in carrier:
-            d = table[(a, b)]
-            if qm2.holds and not math.isfinite(d):
-                qm2 = AxiomReport("QM2", False, counterexample=(a, b))
-            if qm3.holds and d < -tol:
-                qm3 = AxiomReport("QM3", False, counterexample=(a, b))
-            if qm4.holds and math.isfinite(d) and (abs(d) <= tol) != bool(rel(universe, a, b)):
-                qm4 = AxiomReport("QM4", False, counterexample=(a, b))
-            if qm5.holds and not (
-                math.isfinite(d)
-                and math.isfinite(table[(b, a)])
-                and abs(d - table[(b, a)]) <= tol
-            ):
-                qm5 = AxiomReport("QM5", False, counterexample=(a, b))
-
-    qm6 = AxiomReport("QM6", True)
-    for a in carrier:
-        for b in carrier:
-            for c in carrier:
-                if table[(a, c)] > table[(a, b)] + table[(b, c)] + tol:
-                    qm6 = AxiomReport("QM6", False, counterexample=(a, b, c))
-                    break
-            if not qm6.holds:
-                break
-        if not qm6.holds:
-            break
-
-    congruence = AxiomReport("congruence", True)
-    for a in carrier:
-        for a2 in carrier:
-            if a == a2 or not rel(universe, a, a2):
-                continue
-            for b in carrier:
-                if abs(table[(a, b)] - table[(a2, b)]) > tol:
-                    congruence = AxiomReport("congruence", False, counterexample=(a, a2, b))
-                    break
-            if not congruence.holds:
-                break
-        if not congruence.holds:
-            break
-
-    reports.extend([qm2, qm3, qm4, qm5, qm6, congruence])
+    qm2 = qm3 = qm4 = qm5 = None
+    for a, row, column, rel_row in zip(carrier, rows, zip(*rows), related):
+        for b, d, d_ba, r in zip(carrier, row, column, rel_row):
+            finite = math.isfinite(d)
+            if qm2 is None and not finite:
+                qm2 = (a, b)
+            if qm3 is None and d < -tol:
+                qm3 = (a, b)
+            if qm4 is None and finite and (abs(d) <= tol) != r:
+                qm4 = (a, b)
+            if qm5 is None and not (finite and math.isfinite(d_ba) and abs(d - d_ba) <= tol):
+                qm5 = (a, b)
+    witnesses = {
+        "QM2": qm2,
+        "QM3": qm3,
+        "QM4": qm4,
+        "QM5": qm5,
+        "QM6": _triangle_breach(carrier, rows, tol),
+        "congruence": _congruence_breach(carrier, rows, related, tol),
+    }
+    reports.extend(AxiomReport(axiom, w is None, w) for axiom, w in witnesses.items())
     return reports
+
+
+def _triangle_breach(
+    carrier: Sequence[str], rows: Sequence[Sequence[float]], tol: float
+) -> Optional[tuple[str, str, str]]:
+    """First (a, b, c) with d(a, c) > d(a, b) + d(b, c) + tol, or None."""
+    ties = repeat(tol)
+    for a, row_a in zip(carrier, rows):
+        for b, d_ab, row_b in zip(carrier, row_a, rows):
+            # The same float expression, evaluated per c inside the iterators.
+            if any(map(gt, row_a, map(add, map(add, repeat(d_ab), row_b), ties))):
+                return a, b, next(
+                    c for c, d_ac, d_bc in zip(carrier, row_a, row_b) if d_ac > d_ab + d_bc + tol
+                )
+    return None
+
+
+def _congruence_breach(
+    carrier: Sequence[str],
+    rows: Sequence[Sequence[float]],
+    related: Sequence[Sequence[bool]],
+    tol: float,
+) -> Optional[tuple[str, str, str]]:
+    """First (a, a2, b) with a ~ a2, a != a2 and |d(a, b) - d(a2, b)| > tol, or None."""
+    ties = repeat(tol)
+    for a, row_a, rel_row in zip(carrier, rows, related):
+        for a2, row_a2, r in zip(carrier, rows, rel_row):
+            if r and a != a2 and any(map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
+                return a, a2, next(
+                    b for b, d, d2 in zip(carrier, row_a, row_a2) if abs(d - d2) > tol
+                )
+    return None
 
 
 def differentiation_space(
@@ -181,13 +220,19 @@ def differentiation_space(
     tol: float = DEFAULT_TOL,
 ) -> DifferentiationSpace:
     """Wrap a [0,1]-valued space together with its verified axiom reports."""
-    for a in base.carrier:
-        for b in base.carrier:
-            d = base.distance(a, b)
+    carrier = base.carrier
+    try:
+        rows = base.rows
+    except IncompleteTable:
+        # Scan lazily so an out-of-range entry ahead of the first missing
+        # pair (row-major) is the error reported.
+        rows = ((base.distance(a, b) for b in carrier) for a in carrier)
+    for a, row in zip(carrier, rows):
+        for b, d in zip(carrier, row):
             if math.isfinite(d) and not (-tol <= d <= 1.0 + tol):
                 raise OutOfRange(f"distance d({a!r}, {b!r}) = {d!r} outside [0, 1]")
     reports = tuple(verify_qm_axioms(base, universe, tol=tol))
-    return DifferentiationSpace(base=base, universe=universe, axiom_reports=reports)
+    return DifferentiationSpace(base=base, universe=universe, axiom_reports=reports, tol=tol)
 
 
 def degree(space: DifferentiationSpace, a: str, b: str) -> float:
@@ -205,7 +250,7 @@ def degree(space: DifferentiationSpace, a: str, b: str) -> float:
 
 def degree_relation_holds(space: DifferentiationSpace, a: str, b: str, r: float) -> bool:
     """Whether a and b are indistinguishable exactly to degree r."""
-    return abs(r - degree(space, a, b)) <= DEFAULT_TOL
+    return abs(r - degree(space, a, b)) <= space.tol
 
 
 def degree_assignment(space: DifferentiationSpace) -> dict[tuple[str, str], float]:
@@ -303,9 +348,9 @@ def _zero_transitivity_report(
 
 def _zero_path(adjacency: Mapping[str, Sequence[str]], start: str, goal: str) -> tuple:
     seen = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node == goal:
             path = []
             trace: Optional[str] = node

@@ -173,6 +173,15 @@ class TestQsetCheck:
         cp = run_cli("qset-check", "no_such_file.univ")
         assert cp.returncode == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        bad = tmp_path / "latin1.univ"
+        bad.write_bytes("species: s\natoms:\n  \u00e9 micro s\n".encode("latin-1"))
+        cp = run_cli("qset-check", str(bad))
+        assert cp.returncode == 2
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("cannot read universe file:")
+        assert cp.stderr.count("\n") == 1
+
     def test_two_species_witness(self, tmp_path):
         f = tmp_path / "two_species.univ"
         f.write_text(
@@ -245,6 +254,31 @@ class TestBridge:
         assert run_cli("bridge", path).returncode == 2
         cp = run_cli("bridge", path, "--tolerance", "1e-6")
         assert cp.returncode == 0
+
+    def test_tolerance_recorded_in_inputs(self, tmp_path):
+        path = self.write_table(tmp_path, "sources: s1 s2\npid:\n  1.0 0.5\n  0.5 1.0\n")
+        data = json.loads(run_cli("bridge", path, "--tolerance", "1e-6").stdout)
+        assert data["inputs"]["tolerance"] == 1e-6
+        assert json.loads(run_cli("bridge", path).stdout)["inputs"]["tolerance"] == 1e-12
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-12", "inf"])
+    def test_bad_tolerance_exits_2(self, tmp_path, tolerance):
+        path = self.write_table(tmp_path, "sources: s1 s2\npid:\n  1.0 0.5\n  0.5 1.0\n")
+        cp = run_cli("bridge", path, f"--tolerance={tolerance}")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("invalid tolerance")
+        assert cp.stderr.count("\n") == 1
+
+    def test_non_utf8_table_exits_2(self, tmp_path):
+        f = tmp_path / "latin1.pid"
+        f.write_bytes("sources: \u00e91 s2\npid:\n  1.0 1.0\n  1.0 1.0\n".encode("latin-1"))
+        cp = run_cli("bridge", str(f))
+        assert cp.returncode == 2
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("cannot read table file:")
+        assert cp.stderr.count("\n") == 1
 
 
 class TestParsers:

@@ -241,6 +241,13 @@ class TestFromPidTable:
         with pytest.raises(MalformedTable):
             from_pid_table(["s", "s"], [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_degree_comparison_uses_space_tolerance(self):
+        space, reports = from_pid_table(["s1", "s2"], [[1.0, 0.5], [0.5, 1.0]], tol=1e-6)
+        assert all(r.holds for r in reports)
+        assert space.tol == 1e-6
+        assert degree_relation_holds(space, "s1", "s2", 0.5 + 1e-9)
+        assert not degree_relation_holds(space, "s1", "s2", 0.5 + 1e-5)
+
     def test_round_trip_recovers_degrees(self):
         rng = Random(303)
         for _ in range(30):
