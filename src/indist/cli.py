@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -50,6 +51,10 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_AXIOMS_FAILED = 4
+
+
+class OutputError(Exception):
+    """The ``--out`` file could not be written."""
 
 
 class ParseError(ValueError):
@@ -72,6 +77,7 @@ def parse_universe(text: str) -> quasiset.Universe:
     """Parse the sectioned universe format into a Universe."""
     species: list[str] = []
     atoms: list[quasiset.Atom] = []
+    atom_names: set[str] = set()
     qsets: dict[str, list[str]] = {}
     qset_lines: dict[str, int] = {}
     section = None
@@ -89,6 +95,8 @@ def parse_universe(text: str) -> quasiset.Universe:
             continue
         if section is None:
             raise ParseError(f"expected a section header, got {stripped!r}", lineno)
+        # Error columns are the 1-based offsets of the tokens in the line.
+        columns = [m.start() + 1 for m in re.finditer(r"\S+", line)]
 
         if section == "species":
             species.extend(stripped.split())
@@ -102,11 +110,12 @@ def parse_universe(text: str) -> quasiset.Universe:
                 raise ParseError(
                     "atom entry must be '<name> micro <species>' or '<name> macro'", lineno
                 )
-            if any(a.uid == name for a in atoms) or name in qsets:
-                raise ParseError(f"duplicate name {name!r}", lineno, line.index(name) + 1)
+            if name in atom_names or name in qsets:
+                raise ParseError(f"duplicate name {name!r}", lineno, columns[0])
             if sp is not None and sp not in species:
-                raise ParseError(f"unregistered species {sp!r}", lineno, line.index(sp) + 1)
+                raise ParseError(f"unregistered species {sp!r}", lineno, columns[2])
             atoms.append(quasiset.Atom(name, fields[1], sp))
+            atom_names.add(name)
         else:  # qsets
             if "=" not in stripped:
                 raise ParseError("qset entry must be '<name> = <members...>'", lineno)
@@ -114,13 +123,13 @@ def parse_universe(text: str) -> quasiset.Universe:
             name = name_part.strip()
             if not name or len(name.split()) != 1:
                 raise ParseError("qset entry must be '<name> = <members...>'", lineno)
-            if name in qsets or any(a.uid == name for a in atoms):
-                raise ParseError(f"duplicate name {name!r}", lineno, line.index(name) + 1)
+            if name in qsets or name in atom_names:
+                raise ParseError(f"duplicate name {name!r}", lineno, columns[0])
             members = members_part.split()
             qsets[name] = members
             qset_lines[name] = lineno
 
-    known = {a.uid for a in atoms} | set(qsets)
+    known = atom_names | set(qsets)
     for name, members in qsets.items():
         for m in members:
             if m not in known:
@@ -191,8 +200,11 @@ def _report(command: str, inputs: dict, outputs: dict, status: int) -> dict:
 
 def _emit(text: str, out_path: Optional[str], stdout: TextIO) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(str(exc)) from exc
     else:
         stdout.write(text)
 
@@ -347,34 +359,6 @@ def cmd_fringes(args, stdout: TextIO, stderr: TextIO) -> int:
     return EXIT_OK
 
 
-def _theorem_instances(universe: quasiset.Universe) -> list[dict]:
-    instances = []
-    for x in sorted(universe.qsets):
-        members = universe.qsets[x]
-        for z in sorted(members):
-            if not universe.is_micro(z):
-                continue
-            z_class = quasiset.indist_class(universe, z)
-            if z_class == members:
-                continue  # theorem hypothesis x != [z] excludes this instance
-            for w in sorted(z_class - members):
-                if not universe.is_atom(w):
-                    continue
-                report = quasiset.permutation_theorem_check(universe, x, z, w)
-                instances.append(
-                    {
-                        "x": x,
-                        "z": z,
-                        "w": w,
-                        "holds": report.holds,
-                        "counterexample": None
-                        if report.counterexample is None
-                        else list(report.counterexample),
-                    }
-                )
-    return instances
-
-
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
     witnesses = []
     terms = universe.terms()
@@ -399,7 +383,11 @@ def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
         return EXIT_INVALID_INPUT
 
     eq_reports = quasiset.check_equivalence_axioms(universe)
-    instances = _theorem_instances(universe)
+    instances = [
+        {"x": x, "z": z, "w": w, "holds": r.holds,
+         "counterexample": None if r.counterexample is None else list(r.counterexample)}
+        for x, z, w, r in quasiset.theorem_instances(universe)
+    ]
     witnesses = _separation_witnesses(universe)
     all_hold = all(r.holds for r in eq_reports) and all(i["holds"] for i in instances)
 
@@ -534,7 +522,11 @@ def main(
     stderr: TextIO = sys.stderr,
 ) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args, stdout, stderr)
+    try:
+        return args.func(args, stdout, stderr)
+    except OutputError as exc:
+        stderr.write(f"cannot write output file: {exc}\n")
+        return EXIT_INVALID_INPUT
 
 
 def entrypoint() -> None:

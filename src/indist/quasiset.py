@@ -26,9 +26,8 @@ those members (handy for derived collections such as ``x - z1``).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 MICRO = "micro"
 MACRO = "macro"
@@ -124,31 +123,58 @@ class Universe:
             for m in members:
                 if m not in self.atoms and m not in self.qsets:
                     raise MalformedUniverse(f"qset {name!r} references unknown term {m!r}")
-        self._check_acyclic()
+        order = self._members_first()
 
         self._macro_fingerprint: dict[str, frozenset[str]] = {}
         self._macro_rep: dict[str, str] = {}
         self._index_macros()
 
-        self._sig: dict[str, tuple] = {}
-        for name in list(self.atoms) + list(self.qsets):
-            self._signature_of(name)
+        # Hash-consed signatures: each term gets a small int, equal exactly
+        # when the hereditary species-count signatures are equal.  A qset's
+        # key is the sorted tuple of its members' ints, so members come first.
+        self._ids: dict[tuple, int] = {}
+        self._sig: dict[str, int] = {}
+        self._classical: dict[str, bool] = {}
+        for uid, atom in self.atoms.items():
+            key = ("m", atom.species) if atom.kind == MICRO else ("M", self._macro_rep[uid])
+            self._sig[uid] = self._ids.setdefault(key, len(self._ids))
+            self._classical[uid] = atom.kind == MACRO
+        for name in order:
+            members = self.qsets[name]
+            self._sig[name] = self._ids.setdefault(self._collection_key(members), len(self._ids))
+            self._classical[name] = all(self._classical[m] for m in members)
 
-    def _check_acyclic(self) -> None:
-        state: dict[str, int] = {}  # 1 visiting, 2 done
+        classes: dict[int, list[str]] = {}
+        for name, sig in self._sig.items():
+            classes.setdefault(sig, []).append(name)
+        self._classes = {sig: frozenset(names) for sig, names in classes.items()}
 
-        def visit(name: str) -> None:
-            if state.get(name) == 2 or name in self.atoms:
-                return
-            if state.get(name) == 1:
-                raise MalformedUniverse(f"qset {name!r} contains itself (directly or transitively)")
-            state[name] = 1
-            for m in self.qsets[name]:
-                visit(m)
-            state[name] = 2
-
-        for name in self.qsets:
-            visit(name)
+    def _members_first(self) -> list[str]:
+        """Qset names, members before containers, by an iterative DFS that rejects cycles."""
+        state: dict[str, int] = {}  # 1 on the stack, 2 done
+        order: list[str] = []
+        for root in self.qsets:
+            if root in state:
+                continue
+            state[root] = 1
+            stack = [(root, iter(self.qsets[root]))]
+            while stack:
+                name, members = stack[-1]
+                for m in members:
+                    if m not in self.qsets or state.get(m) == 2:
+                        continue
+                    if state.get(m) == 1:
+                        raise MalformedUniverse(
+                            f"qset {m!r} contains itself (directly or transitively)"
+                        )
+                    state[m] = 1
+                    stack.append((m, iter(self.qsets[m])))
+                    break
+                else:
+                    stack.pop()
+                    state[name] = 2
+                    order.append(name)
+        return order
 
     def _index_macros(self) -> None:
         # Macro-atoms sharing exactly the same memberships are extensionally
@@ -166,24 +192,8 @@ class Universe:
             for uid in group:
                 self._macro_rep[uid] = rep
 
-    def _signature_of(self, name: str) -> tuple:
-        cached = self._sig.get(name)
-        if cached is not None:
-            return cached
-        atom = self.atoms.get(name)
-        if atom is not None:
-            if atom.kind == MICRO:
-                sig = ("m", atom.species)
-            else:
-                sig = ("M", self._macro_rep[name])
-        else:
-            sig = self._collection_signature(self.qsets[name])
-        self._sig[name] = sig
-        return sig
-
-    def _collection_signature(self, members: frozenset[str]) -> tuple:
-        counts = Counter(self._signature_of(m) for m in members)
-        return ("q", tuple(sorted(counts.items())))
+    def _collection_key(self, members: frozenset[str]) -> tuple:
+        return ("q", tuple(sorted([self._sig[m] for m in members])))
 
     # -- lookups ------------------------------------------------------------
 
@@ -231,12 +241,16 @@ def _is_qset_like(u: Universe, x: Term) -> bool:
     return not isinstance(x, str) or x in u.qsets
 
 
-def _signature(u: Universe, x: Term) -> tuple:
+def _signature(u: Universe, x: Term) -> Union[int, tuple]:
+    # An anonymous qset that no term matches keeps its key, which is never
+    # equal to an int, so the universe stays unchanged.
     if isinstance(x, str):
-        if x not in u:
+        sig = u._sig.get(x)
+        if sig is None:
             raise UnknownTerm(f"unknown term {x!r}")
-        return u._signature_of(x)
-    return u._collection_signature(_members(u, x))
+        return sig
+    key = u._collection_key(_members(u, x))
+    return u._ids.get(key, key)
 
 
 def indist(u: Universe, x: Term, y: Term) -> bool:
@@ -277,8 +291,7 @@ def quasi_cardinality(u: Universe, x: Term) -> int:
 
 def indist_class(u: Universe, z: Term) -> frozenset[str]:
     """The qset [z] of all universe terms indistinguishable from z."""
-    z_sig = _signature(u, z)
-    return frozenset(t for t in u.terms() if u._signature_of(t) == z_sig)
+    return u._classes.get(_signature(u, z), frozenset())
 
 
 def singleton_sub(u: Universe, z: Term, x: Optional[Term] = None) -> frozenset[str]:
@@ -358,6 +371,29 @@ def permutation_theorem_check(u: Universe, x: Term, z: str, w: str) -> AxiomRepo
     return AxiomReport("permutation", True)
 
 
+def theorem_instances(u: Universe) -> Iterator[tuple[str, str, str, AxiomReport]]:
+    """Every admissible permutation-theorem instance over the named qsets.
+
+    Yields ``(x, z, w, report)`` sorted by x, then z, then w, for each micro
+    member z of x with x not the class [z] and each w of [z] outside x.  The
+    brute force sees z and w only through [z] = [w], so its report is
+    computed once per orbit (x, [z]) and shared by every instance in it.
+    """
+    for x in sorted(u.qsets):
+        members = u.qsets[x]
+        per_class: dict[frozenset[str], AxiomReport] = {}
+        for z in sorted(members):
+            if not u.is_micro(z):
+                continue
+            z_class = indist_class(u, z)
+            if z_class == members:
+                continue  # theorem hypothesis x != [z] excludes this instance
+            for w in sorted(z_class - members):
+                if z_class not in per_class:
+                    per_class[z_class] = permutation_theorem_check(u, x, z, w)
+                yield x, z, w, per_class[z_class]
+
+
 RelationFn = Callable[[Universe, Term, Term], bool]
 
 
@@ -371,37 +407,43 @@ def check_equivalence_axioms(
     """
     rel = relation if relation is not None else indist
     terms = u.terms()
+    # One relation call per ordered pair: bit j of rows[i] (and bit i of
+    # cols[j]) is set when rel(terms[i], terms[j]) holds.
+    rows = [0] * len(terms)
+    cols = [0] * len(terms)
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            if rel(u, a, b):
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
 
     q1 = AxiomReport("Q1", True)
-    for t in terms:
-        if not rel(u, t, t):
-            q1 = AxiomReport("Q1", False, counterexample=(t,))
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            q1 = AxiomReport("Q1", False, counterexample=(terms[i],))
             break
 
     q2 = AxiomReport("Q2", True)
-    for a in terms:
-        for b in terms:
-            if rel(u, a, b) != rel(u, b, a):
-                q2 = AxiomReport("Q2", False, counterexample=(a, b))
-                break
-        if not q2.holds:
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        if row != col:
+            q2 = AxiomReport("Q2", False, counterexample=(terms[i], terms[_lowest(row ^ col)]))
             break
 
     q3 = AxiomReport("Q3", True)
-    for a in terms:
-        for b in terms:
-            if not rel(u, a, b):
-                continue
-            for c in terms:
-                if rel(u, b, c) and not rel(u, a, c):
-                    q3 = AxiomReport("Q3", False, counterexample=(a, b, c))
-                    break
-            if not q3.holds:
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            if row >> j & 1 and other & ~row:  # some c with b ~ c but not a ~ c
+                c = terms[_lowest(other & ~row)]
+                q3 = AxiomReport("Q3", False, counterexample=(terms[i], terms[j], c))
                 break
         if not q3.holds:
             break
 
     return [q1, q2, q3]
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def check_substitutivity_surrogate(u: Universe, x: Term, y: Term) -> AxiomReport:
@@ -467,9 +509,4 @@ def is_classical_qset(u: Universe, x: Term) -> bool:
     Such collections behave exactly like ordinary sets with urelements; the
     flag is only used for reporting.
     """
-    for m in _members(u, x):
-        if u.is_micro(m):
-            return False
-        if u.is_qset(m) and not is_classical_qset(u, m):
-            return False
-    return True
+    return all(u._classical[m] for m in _members(u, x))

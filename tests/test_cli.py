@@ -304,6 +304,14 @@ class TestParsers:
             parse_universe("photon\n")
         assert err.value.line == 1
 
+    def test_universe_atom_qset_name_clash(self):
+        with pytest.raises(ParseError, match="duplicate name 'x'") as err:
+            parse_universe("species: s\natoms:\n  x micro s\nqsets:\n   x = x\n")
+        assert (err.value.line, err.value.column) == (5, 4)
+        with pytest.raises(ParseError, match="duplicate name 'x'") as err:
+            parse_universe("species: s\nqsets:\n  x =\natoms:\n    x micro s\n")
+        assert (err.value.line, err.value.column) == (5, 5)
+
     def test_pid_table(self):
         sources, rows = parse_pid_table("sources: s1 s2\npid:\n  1.0 0.5\n  0.5 1.0\n")
         assert sources == ["s1", "s2"]
@@ -317,6 +325,40 @@ class TestParsers:
         with pytest.raises(ParseError) as err:
             parse_pid_table("sources: s1 s2\npid:\n  1.0 x\n  0.5 1.0\n")
         assert err.value.line == 3
+
+
+class TestDeepNestingAndErrors:
+    @pytest.mark.parametrize("members_first", [True, False])
+    def test_deep_nesting_exits_0(self, tmp_path, members_first):
+        # 1500 levels is past the default recursion limit of 1000.
+        chain = ["  q0 = a"] + [f"  q{i} = q{i - 1}" for i in range(1, 1500)]
+        if not members_first:
+            chain.reverse()
+        f = tmp_path / "deep.univ"
+        f.write_text("species: s\natoms:\n  a micro s\nqsets:\n" + "\n".join(chain) + "\n")
+        cp = run_cli("qset-check", str(f))
+        assert cp.returncode == 0
+        assert "Traceback" not in cp.stderr
+        data = json.loads(cp.stdout)
+        assert data["outputs"]["classical_qsets"] == []
+        assert data["outputs"]["all_hold"] is True
+
+    def test_parse_error_column_points_at_the_token(self, tmp_path):
+        bad = tmp_path / "bad.univ"
+        bad.write_text("species: photon\natoms:\n  ph micro p\n")
+        cp = run_cli("qset-check", str(bad))
+        assert cp.returncode == 2
+        assert cp.stderr == "parse error at line 3, column 12: unregistered species 'p'\n"
+
+    @pytest.mark.parametrize("argv", [("qset-check", str(DATA / "three_photons.univ")),
+                                      DECOMPOSE_EXAMPLE])
+    def test_unwritable_out_exits_2(self, tmp_path, argv):
+        cp = run_cli(*argv, "--out", str(tmp_path / "missing" / "report.json"))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("cannot write output file:")
+        assert cp.stderr.count("\n") == 1
 
 
 class TestVersionFlag:

@@ -385,3 +385,29 @@ class TestUidRelabeling:
                 for t in terms:
                     assert indist(u, s, t) == indist(u2, s, t)
             assert theorem_outcomes(u) == theorem_outcomes(u2)
+
+
+class TestDeepNesting:
+    DEPTH = 3000
+
+    def chain(self, members_first):
+        qsets = {"q0": ["a"], **{f"q{i}": [f"q{i - 1}"] for i in range(1, self.DEPTH)}}
+        names = list(qsets) if members_first else list(reversed(qsets))
+        return Universe(
+            species=["s"], atoms=[Atom("a", MICRO, "s"), Atom("M", MACRO)],
+            qsets={name: qsets[name] for name in names},
+        )
+
+    @pytest.mark.parametrize("members_first", [True, False])
+    def test_deep_chain_is_checked_without_recursion(self, members_first):
+        u = self.chain(members_first)
+        top = f"q{self.DEPTH - 1}"
+        assert not is_classical_qset(u, top)
+        assert indist_class(u, top) == frozenset({top})
+        assert indist(u, frozenset({f"q{self.DEPTH - 2}"}), top)
+        assert not indist(u, top, f"q{self.DEPTH - 2}")
+
+    def test_deep_cycle_rejected(self):
+        qsets = {f"q{i}": [f"q{(i + 1) % self.DEPTH}"] for i in range(self.DEPTH)}
+        with pytest.raises(MalformedUniverse, match="contains itself"):
+            Universe(qsets=qsets)
