@@ -43,9 +43,15 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from . import __version__, onephoton, qmetric, quasiset, zwm
+from . import __version__, onephoton
+
+if TYPE_CHECKING:
+    from . import quasiset
+
+# quasiset, qmetric and zwm are imported by the commands that use them, so
+# that a process running one command loads only that command's modules.
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -75,6 +81,8 @@ def _content_lines(text: str):
 
 def parse_universe(text: str) -> quasiset.Universe:
     """Parse the sectioned universe format into a Universe."""
+    from . import quasiset
+
     species: list[str] = []
     atoms: list[quasiset.Atom] = []
     atom_names: set[str] = set()
@@ -285,7 +293,13 @@ def cmd_decompose(args, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def cmd_zwm_sweep(args, stdout: TextIO, stderr: TextIO) -> int:
-    norm = args.alpha ** 2 + args.beta ** 2
+    from . import zwm
+
+    try:
+        norm = args.alpha ** 2 + args.beta ** 2
+    except OverflowError:
+        stderr.write("bad amplitudes: the squared pump amplitudes overflow\n")
+        return EXIT_INVALID_INPUT
     if norm <= 0 or not math.isfinite(norm) or args.alpha == 0 or args.beta == 0:
         stderr.write("bad amplitudes: both pump amplitudes must be nonzero\n")
         return EXIT_INVALID_INPUT
@@ -298,15 +312,23 @@ def cmd_zwm_sweep(args, stdout: TextIO, stderr: TextIO) -> int:
         pump_beta=args.beta / scale,
         idler_transmission=1.0,
     )
-    rows = zwm.sweep_transmission(setup, args.steps)
+    try:
+        rows = zwm.sweep_transmission(setup, args.steps)
+    except zwm.InvalidSetup as exc:
+        # Subnormal amplitudes lose the precision the normalization needs.
+        stderr.write(f"bad amplitudes: {exc}\n")
+        return EXIT_INVALID_INPUT
+    except onephoton.DegenerateSource as exc:
+        stderr.write(f"degenerate source: {exc}\n")
+        return EXIT_DEGENERATE
 
     if args.output == "csv":
+        # Every row value is a float, so repr() is the _fmt() text.
         lines = ["t_mag,p_id,visibility,coincidence_id_prob"]
-        for row in rows:
-            lines.append(
-                f"{_fmt(row.t_mag)},{_fmt(row.p_id)},"
-                f"{_fmt(row.visibility)},{_fmt(row.coincidence_id_prob)}"
-            )
+        lines.extend(
+            f"{row.t_mag!r},{row.p_id!r},{row.visibility!r},{row.coincidence_id_prob!r}"
+            for row in rows
+        )
         _emit("\n".join(lines) + "\n", args.out, stdout)
     else:
         inputs = {"alpha": args.alpha, "beta": args.beta, "steps": args.steps}
@@ -339,8 +361,7 @@ def cmd_fringes(args, stdout: TextIO, stderr: TextIO) -> int:
 
     if args.output == "csv":
         lines = ["phase_rad,rate"]
-        for phase, rate in scan.samples:
-            lines.append(f"{_fmt(phase)},{_fmt(rate)}")
+        lines.extend(f"{phase!r},{rate!r}" for phase, rate in scan.samples)
         lines.append(f"visibility,{_fmt(scan.visibility)}")
         _emit("\n".join(lines) + "\n", args.out, stdout)
     else:
@@ -360,6 +381,8 @@ def cmd_fringes(args, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
+    from . import quasiset
+
     witnesses = []
     terms = universe.terms()
     for i, a in enumerate(terms):
@@ -370,6 +393,8 @@ def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
 
 
 def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
+    from . import quasiset
+
     try:
         with open(args.universe_file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -415,8 +440,11 @@ def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        stderr.write(f"invalid tolerance {args.tolerance!r}: need a finite number >= 0\n")
+    from . import qmetric
+
+    tolerance = qmetric.DEFAULT_TOL if args.tolerance is None else args.tolerance
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        stderr.write(f"invalid tolerance {tolerance!r}: need a finite number >= 0\n")
         return EXIT_INVALID_INPUT
     try:
         with open(args.table_file, "r", encoding="utf-8") as fh:
@@ -430,7 +458,7 @@ def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
         stderr.write(f"parse error at line {exc.line}, column {exc.column}: {exc}\n")
         return EXIT_INVALID_INPUT
     try:
-        space, reports = qmetric.from_pid_table(sources, pid, tol=args.tolerance)
+        space, reports = qmetric.from_pid_table(sources, pid, tol=tolerance)
     except qmetric.MalformedTable as exc:
         stderr.write(f"malformed table: {exc}\n")
         return EXIT_INVALID_INPUT
@@ -447,7 +475,7 @@ def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
     inputs = {
         "sources": sources,
         "pid": [[float(v) for v in row] for row in pid],
-        "tolerance": args.tolerance,
+        "tolerance": tolerance,
     }
     status = EXIT_OK if axioms_hold else EXIT_AXIOMS_FAILED
     outputs = {
@@ -508,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bridge", help="build a differentiation space from a degree table")
     p.add_argument("table_file")
-    p.add_argument("--tolerance", type=float, default=qmetric.DEFAULT_TOL,
+    p.add_argument("--tolerance", type=float, default=None,
                    help="numeric tolerance for the axiom checks")
     _add_output_args(p, formats=False)
     p.set_defaults(func=cmd_bridge)

@@ -151,7 +151,8 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     """Report every violated invariant of ``rho``; an empty list means valid.
 
     Checks the unit trace and the positivity bound |rho12|^2 <= rho11*rho22.
-    Non-finite entries short-circuit into a single "finite" issue.
+    Non-finite entries short-circuit into a single "finite" issue; a
+    |rho12|^2 too large for a float is a positivity excess of inf.
     """
     entries = (rho.rho11, rho.rho22, complex(rho.rho12).real, complex(rho.rho12).imag)
     if not all(math.isfinite(v) for v in entries):
@@ -161,7 +162,10 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     trace_residual = abs(rho.rho11 + rho.rho22 - 1.0)
     if trace_residual > tol:
         issues.append(DensityIssue("trace", trace_residual))
-    positivity_excess = abs(rho.rho12) ** 2 - rho.rho11 * rho.rho22
+    try:
+        positivity_excess = abs(rho.rho12) ** 2 - rho.rho11 * rho.rho22
+    except OverflowError:
+        positivity_excess = math.inf
     if positivity_excess > tol:
         issues.append(DensityIssue("positivity", positivity_excess))
     return issues

@@ -91,6 +91,13 @@ def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
 
     The phase of tau and the pump split are held fixed; rows come back in
     grid order and the p_id column is monotone nondecreasing.
+
+    Each row evaluates the same expressions, in the same order, as
+    ``zwm_signal_state`` -> ``onephoton.visibility_vs_pid`` ->
+    ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
+    Only tau changes along the grid, so the pump split is validated and the
+    populations are checked once here; each row checks |tau| and the
+    positivity of its rho12.
     """
     _require_valid(setup)
     if steps < 2:
@@ -99,18 +106,30 @@ def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
     t0 = abs(setup.idler_transmission)
     phase = complex(setup.idler_transmission) / t0 if t0 > 0.0 else complex(1.0)
 
+    a = complex(setup.pump_alpha)
+    b = complex(setup.pump_beta)
+    rho11 = abs(a) ** 2
+    rho22 = abs(b) ** 2
+    populations = DensityOperator2(rho11, rho22, 0j)
+    onephoton._require_valid(populations)
+    onephoton._require_nondegenerate(populations)
+    ab = a * b.conjugate()
+    product = rho11 * rho22
+    geo = math.sqrt(product)
+    two_geo = 2.0 * geo
+
     rows = []
     for i in range(steps):
         t = i / (steps - 1)
-        at_t = ZwmSetup(setup.pump_alpha, setup.pump_beta, t * phase)
-        rho = zwm_signal_state(at_t)
-        comparison = onephoton.visibility_vs_pid(rho)
-        rows.append(
-            SweepRow(
-                t_mag=t,
-                p_id=comparison.p_id,
-                visibility=comparison.visibility,
-                coincidence_id_prob=whichway_coincidence_prob(at_t),
-            )
-        )
+        tau = t * phase
+        tau_mag = abs(tau)
+        # The negated comparisons also catch NaN; the full checks then raise.
+        if not tau_mag <= 1.0 + AMPLITUDE_TOL:
+            _require_valid(ZwmSetup(setup.pump_alpha, setup.pump_beta, tau))
+        rho12 = ab * tau.conjugate()
+        mag = abs(rho12)
+        if not mag ** 2 - product <= onephoton.ANALYTIC_TOL:
+            onephoton._require_valid(DensityOperator2(rho11, rho22, rho12))
+        p_id = min(mag / geo, 1.0)
+        rows.append(SweepRow(t, p_id, two_geo * p_id, 1.0 - tau_mag ** 2))
     return rows

@@ -361,8 +361,42 @@ class TestDeepNestingAndErrors:
         assert cp.stderr.count("\n") == 1
 
 
+class TestOpticsInputErrors:
+    @pytest.mark.parametrize("argv,code,prefix", [
+        (("zwm-sweep", "--alpha", "1e-7", "--beta", "1"), 3, "degenerate source: "),
+        (("zwm-sweep", "--alpha", "1e200", "--beta", "1e200"), 2, "bad amplitudes: "),
+        # Subnormal squares: the rescaled pump misses unit norm.
+        (("zwm-sweep", "--alpha", "1e-160", "--beta", "1e-160"), 2, "bad amplitudes: "),
+        (("decompose", "--rho11", "0.5", "--rho22", "0.5", "--rho12-re", "1e200"), 2,
+         "invalid density: positivity residual inf\n"),
+        (("fringes", "--rho11", "0.5", "--rho22", "0.5", "--rho12-re", "1e200"), 2,
+         "invalid density: positivity residual inf\n"),
+    ], ids=["degenerate-pump", "overflowing-pump", "subnormal-pump",
+            "decompose-overflow", "fringes-overflow"])
+    def test_exits_with_one_line(self, argv, code, prefix):
+        cp = run_cli(*argv)
+        assert cp.returncode == code
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith(prefix)
+        assert cp.stderr.count("\n") == 1
+
+
 class TestVersionFlag:
     def test_version(self):
         cp = run_cli("--version")
         assert cp.returncode == 0
         assert "0.1.0" in cp.stdout
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("argv", [DECOMPOSE_EXAMPLE, ("--version",)])
+    def test_optics_commands_skip_model_theory_modules(self, argv):
+        # -X importtime logs every module the process imports to stderr.
+        cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "indist", *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0
+        imported = {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "indist.cli" in imported
+        assert not imported & {"indist.quasiset", "indist.qmetric", "indist.zwm"}

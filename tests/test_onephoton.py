@@ -78,6 +78,12 @@ class TestValidateDensity:
         issues = validate_density(DensityOperator2(math.nan, 0.5, 0j))
         assert [i.invariant for i in issues] == ["finite"]
 
+    @pytest.mark.parametrize("rho12", [1e200, complex(1e308, 1e308)])
+    def test_overflowing_coherence_is_a_positivity_issue(self, rho12):
+        # |rho12|**2 overflows a float; the excess is reported, not raised.
+        issues = validate_density(DensityOperator2(0.5, 0.5, rho12))
+        assert [(i.invariant, i.residual) for i in issues] == [("positivity", math.inf)]
+
 
 class TestMandelDecompose:
     def test_fully_coherent_balanced_state(self):
