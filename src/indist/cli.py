@@ -43,6 +43,7 @@ import json
 import math
 import re
 import sys
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from . import __version__, onephoton
@@ -58,9 +59,16 @@ EXIT_INVALID_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_AXIOMS_FAILED = 4
 
+DENSITY_ARGS = ("rho11", "rho22", "rho12_re", "rho12_im")
 
-class OutputError(Exception):
-    """The ``--out`` file could not be written."""
+
+class CliExit(Exception):
+    """Ends a command with an exit code and one diagnostic line for stderr."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+        self.line = line
 
 
 class ParseError(ValueError):
@@ -191,226 +199,171 @@ def _fmt(value: float) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _report(command: str, inputs: dict, outputs: dict, status: int) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "status": status,
-    }
+def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, str]:
+    report = {"command": args.command, "version": __version__,
+              "inputs": inputs, "outputs": outputs, "status": status}
+    return status, json.dumps(report, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str], stdout: TextIO) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputError(str(exc)) from exc
-    else:
-        stdout.write(text)
+def _csv(lines: list[str]) -> tuple[int, str]:
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _emit_json(report: dict, out_path: Optional[str], stdout: TextIO) -> None:
-    _emit(json.dumps(report, indent=2) + "\n", out_path, stdout)
+def _counterexample(report: quasiset.AxiomReport) -> Optional[list]:
+    return None if report.counterexample is None else list(report.counterexample)
 
 
 def _axiom_report_dict(report: quasiset.AxiomReport) -> dict:
-    counterexample = None
-    if report.counterexample is not None:
-        counterexample = list(report.counterexample)
-    return {"axiom": report.axiom, "holds": report.holds, "counterexample": counterexample}
+    return {"axiom": report.axiom, "holds": report.holds,
+            "counterexample": _counterexample(report)}
 
 
 def _density_dict(rho: onephoton.DensityOperator2) -> dict:
     r12 = complex(rho.rho12)
-    return {
-        "rho11": _jsonable(rho.rho11),
-        "rho22": _jsonable(rho.rho22),
-        "rho12_re": _jsonable(r12.real),
-        "rho12_im": _jsonable(r12.imag),
-    }
+    values = (rho.rho11, rho.rho22, r12.real, r12.imag)
+    return {name: _jsonable(value) for name, value in zip(DENSITY_ARGS, values)}
 
 
 # -- commands -----------------------------------------------------------------
-
-def _density_from_args(args) -> onephoton.DensityOperator2:
-    return onephoton.DensityOperator2(
-        rho11=args.rho11, rho22=args.rho22, rho12=complex(args.rho12_re, args.rho12_im)
-    )
+#
+# Each command returns (exit status, output text) or raises CliExit; main
+# owns stdout, stderr and the --out file.
 
 
-def cmd_decompose(args, stdout: TextIO, stderr: TextIO) -> int:
-    rho = _density_from_args(args)
+def _valid_density(args) -> onephoton.DensityOperator2:
+    rho = onephoton.DensityOperator2(rho11=args.rho11, rho22=args.rho22,
+                                     rho12=complex(args.rho12_re, args.rho12_im))
     issues = onephoton.validate_density(rho)
     if issues:
-        for issue in issues:
-            stderr.write(f"invalid density: {issue.invariant} residual {_fmt(issue.residual)}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT, "invalid density: " + "; ".join(
+            f"{issue.invariant} residual {_fmt(issue.residual)}" for issue in issues))
+    return rho
+
+
+def _read(path: str, what: str, parse):
+    """Read a UTF-8 input file and parse it; any failure exits 2."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliExit(EXIT_INVALID_INPUT, f"cannot read {what} file: {exc}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise CliExit(EXIT_INVALID_INPUT,
+                      f"parse error at line {exc.line}, column {exc.column}: {exc}") from None
+
+
+def cmd_decompose(args) -> tuple[int, str]:
+    rho = _valid_density(args)
     try:
         dec = onephoton.mandel_decompose(rho)
         coh = onephoton.coherence_functions(rho, 1.0)
         vis = onephoton.visibility_vs_pid(rho)
     except onephoton.DegenerateSource as exc:
-        stderr.write(f"degenerate source: {exc}\n")
-        return EXIT_DEGENERATE
+        raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
 
     gamma_abs = abs(coh.gamma12_normalized)
-    outputs = {
-        "p_id": dec.p_id,
-        "p_d": dec.p_d,
-        "rho_id": _density_dict(dec.rho_id),
-        "rho_d": _density_dict(dec.rho_d),
+    weights = {"p_id": dec.p_id, "p_d": dec.p_d}
+    parts = {"rho_id": _density_dict(dec.rho_id), "rho_d": _density_dict(dec.rho_d)}
+    scalars = {
         "gamma12_abs": gamma_abs,
         "mandel_residual": abs(gamma_abs - dec.p_id),
         "visibility_analytic": vis.visibility,
-        "visibility_over_p_id": _jsonable(vis.ratio),
-    }
-    inputs = {
-        "rho11": args.rho11,
-        "rho22": args.rho22,
-        "rho12_re": args.rho12_re,
-        "rho12_im": args.rho12_im,
+        "visibility_over_p_id": vis.ratio,  # NaN when p_id = 0
     }
     if args.output == "csv":
         lines = ["key,value"]
-        for key in ("p_id", "p_d", "gamma12_abs", "mandel_residual",
-                    "visibility_analytic", "visibility_over_p_id"):
-            lines.append(f"{key},{_fmt(outputs[key]) if outputs[key] is not None else 'nan'}")
-        for tag, rho_part in (("rho_id", dec.rho_id), ("rho_d", dec.rho_d)):
-            for key, value in _density_dict(rho_part).items():
-                lines.append(f"{tag}_{key},{_fmt(value)}")
-        _emit("\n".join(lines) + "\n", args.out, stdout)
-    else:
-        _emit_json(_report("decompose", inputs, outputs, EXIT_OK), args.out, stdout)
-    return EXIT_OK
+        lines.extend(f"{key},{_fmt(value)}" for key, value in {**weights, **scalars}.items())
+        for tag, part in parts.items():
+            lines.extend(f"{tag}_{key},{_fmt(value)}" for key, value in part.items())
+        return _csv(lines)
+    outputs = {key: _jsonable(value) for key, value in {**weights, **parts, **scalars}.items()}
+    return _json(args, {name: getattr(args, name) for name in DENSITY_ARGS}, outputs)
 
 
-def cmd_zwm_sweep(args, stdout: TextIO, stderr: TextIO) -> int:
+def cmd_zwm_sweep(args) -> tuple[int, str]:
     from . import zwm
 
+    alpha, beta = args.alpha, args.beta
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: pump amplitudes must be finite")
     try:
-        norm = args.alpha ** 2 + args.beta ** 2
+        norm = alpha ** 2 + beta ** 2
     except OverflowError:
-        stderr.write("bad amplitudes: the squared pump amplitudes overflow\n")
-        return EXIT_INVALID_INPUT
-    if norm <= 0 or not math.isfinite(norm) or args.alpha == 0 or args.beta == 0:
-        stderr.write("bad amplitudes: both pump amplitudes must be nonzero\n")
-        return EXIT_INVALID_INPUT
+        norm = math.inf
+    if norm == math.inf:
+        raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: the squared pump amplitudes overflow")
+    if norm <= 0 or alpha == 0 or beta == 0:
+        raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: both pump amplitudes must be nonzero")
     if args.steps < 2:
-        stderr.write(f"steps must be >= 2, got {args.steps}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT, f"steps must be >= 2, got {args.steps}")
     scale = math.sqrt(norm)
-    setup = zwm.ZwmSetup(
-        pump_alpha=args.alpha / scale,
-        pump_beta=args.beta / scale,
-        idler_transmission=1.0,
-    )
+    setup = zwm.ZwmSetup(pump_alpha=alpha / scale, pump_beta=beta / scale,
+                         idler_transmission=1.0)
     try:
         rows = zwm.sweep_transmission(setup, args.steps)
     except zwm.InvalidSetup as exc:
         # Subnormal amplitudes lose the precision the normalization needs.
-        stderr.write(f"bad amplitudes: {exc}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT, f"bad amplitudes: {exc}") from None
     except onephoton.DegenerateSource as exc:
-        stderr.write(f"degenerate source: {exc}\n")
-        return EXIT_DEGENERATE
+        raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
 
     if args.output == "csv":
         # Every row value is a float, so repr() is the _fmt() text.
         lines = ["t_mag,p_id,visibility,coincidence_id_prob"]
-        lines.extend(
-            f"{row.t_mag!r},{row.p_id!r},{row.visibility!r},{row.coincidence_id_prob!r}"
-            for row in rows
-        )
-        _emit("\n".join(lines) + "\n", args.out, stdout)
-    else:
-        inputs = {"alpha": args.alpha, "beta": args.beta, "steps": args.steps}
-        outputs = {
-            "rows": [
-                {
-                    "t_mag": row.t_mag,
-                    "p_id": row.p_id,
-                    "visibility": row.visibility,
-                    "coincidence_id_prob": row.coincidence_id_prob,
-                }
-                for row in rows
-            ]
-        }
-        _emit_json(_report("zwm-sweep", inputs, outputs, EXIT_OK), args.out, stdout)
-    return EXIT_OK
+        lines.extend(f"{row.t_mag!r},{row.p_id!r},{row.visibility!r},{row.coincidence_id_prob!r}"
+                     for row in rows)
+        return _csv(lines)
+    inputs = {name: getattr(args, name) for name in ("alpha", "beta", "steps")}
+    return _json(args, inputs, {"rows": [vars(row) for row in rows]})
 
 
-def cmd_fringes(args, stdout: TextIO, stderr: TextIO) -> int:
-    rho = _density_from_args(args)
-    issues = onephoton.validate_density(rho)
-    if issues:
-        for issue in issues:
-            stderr.write(f"invalid density: {issue.invariant} residual {_fmt(issue.residual)}\n")
-        return EXIT_INVALID_INPUT
+def cmd_fringes(args) -> tuple[int, str]:
+    rho = _valid_density(args)
     if args.samples < 8:
-        stderr.write(f"samples must be >= 8, got {args.samples}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT, f"samples must be >= 8, got {args.samples}")
     scan = onephoton.fringe_scan(rho, 1.0, args.samples)
 
     if args.output == "csv":
         lines = ["phase_rad,rate"]
         lines.extend(f"{phase!r},{rate!r}" for phase, rate in scan.samples)
         lines.append(f"visibility,{_fmt(scan.visibility)}")
-        _emit("\n".join(lines) + "\n", args.out, stdout)
-    else:
-        inputs = {
-            "rho11": args.rho11,
-            "rho22": args.rho22,
-            "rho12_re": args.rho12_re,
-            "rho12_im": args.rho12_im,
-            "samples": args.samples,
-        }
-        outputs = {
-            "samples": [[phase, rate] for phase, rate in scan.samples],
-            "visibility": scan.visibility,
-        }
-        _emit_json(_report("fringes", inputs, outputs, EXIT_OK), args.out, stdout)
-    return EXIT_OK
+        return _csv(lines)
+    inputs = {name: getattr(args, name) for name in (*DENSITY_ARGS, "samples")}
+    outputs = {"samples": [[phase, rate] for phase, rate in scan.samples],
+               "visibility": scan.visibility}
+    return _json(args, inputs, outputs)
 
 
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
+    """Pairs a < b in terms() order that are indistinguishable but not ext-identical."""
     from . import quasiset
 
-    witnesses = []
+    # One indist_class call per class; ext_identity only within a class.
     terms = universe.terms()
-    for i, a in enumerate(terms):
-        for b in terms[i + 1 :]:
-            if quasiset.indist(universe, a, b) and not quasiset.ext_identity(universe, a, b):
-                witnesses.append([a, b])
-    return witnesses
+    rank = {t: i for i, t in enumerate(terms)}
+    seen: set[str] = set()
+    pairs = []
+    for t in terms:
+        if t not in seen:
+            members = sorted(quasiset.indist_class(universe, t), key=rank.__getitem__)
+            seen.update(members)
+            pairs.extend((rank[a], rank[b]) for a, b in combinations(members, 2)
+                         if not quasiset.ext_identity(universe, a, b))
+    return [[terms[i], terms[j]] for i, j in sorted(pairs)]
 
 
-def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
+def cmd_qset_check(args) -> tuple[int, str]:
     from . import quasiset
 
-    try:
-        with open(args.universe_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        stderr.write(f"cannot read universe file: {exc}\n")
-        return EXIT_INVALID_INPUT
-    try:
-        universe = parse_universe(text)
-    except ParseError as exc:
-        stderr.write(f"parse error at line {exc.line}, column {exc.column}: {exc}\n")
-        return EXIT_INVALID_INPUT
-
+    universe = _read(args.universe_file, "universe", parse_universe)
     eq_reports = quasiset.check_equivalence_axioms(universe)
     instances = [
-        {"x": x, "z": z, "w": w, "holds": r.holds,
-         "counterexample": None if r.counterexample is None else list(r.counterexample)}
+        {"x": x, "z": z, "w": w, "holds": r.holds, "counterexample": _counterexample(r)}
         for x, z, w, r in quasiset.theorem_instances(universe)
     ]
     witnesses = _separation_witnesses(universe)
@@ -418,143 +371,111 @@ def cmd_qset_check(args, stdout: TextIO, stderr: TextIO) -> int:
 
     inputs = {
         "species": sorted(universe.species),
-        "atoms": [
-            {"uid": a.uid, "kind": a.kind, "species": a.species}
-            for a in (universe.atoms[k] for k in sorted(universe.atoms))
-        ],
+        "atoms": [{"uid": a.uid, "kind": a.kind, "species": a.species}
+                  for a in (universe.atoms[k] for k in sorted(universe.atoms))],
         "qsets": {name: sorted(universe.qsets[name]) for name in sorted(universe.qsets)},
     }
-    status = EXIT_OK if all_hold else EXIT_AXIOMS_FAILED
     outputs = {
         "equivalence_axioms": [_axiom_report_dict(r) for r in eq_reports],
         "theorem_instances": instances,
         "separation_witnesses": witnesses,
-        "classical_qsets": [
-            name for name in sorted(universe.qsets)
-            if quasiset.is_classical_qset(universe, name)
-        ],
+        "classical_qsets": [name for name in sorted(universe.qsets)
+                            if quasiset.is_classical_qset(universe, name)],
         "all_hold": all_hold,
     }
-    _emit_json(_report("qset-check", inputs, outputs, status), args.out, stdout)
-    return status
+    return _json(args, inputs, outputs, EXIT_OK if all_hold else EXIT_AXIOMS_FAILED)
 
 
-def cmd_bridge(args, stdout: TextIO, stderr: TextIO) -> int:
+def cmd_bridge(args) -> tuple[int, str]:
     from . import qmetric
 
     tolerance = qmetric.DEFAULT_TOL if args.tolerance is None else args.tolerance
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        stderr.write(f"invalid tolerance {tolerance!r}: need a finite number >= 0\n")
-        return EXIT_INVALID_INPUT
-    try:
-        with open(args.table_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        stderr.write(f"cannot read table file: {exc}\n")
-        return EXIT_INVALID_INPUT
-    try:
-        sources, pid = parse_pid_table(text)
-    except ParseError as exc:
-        stderr.write(f"parse error at line {exc.line}, column {exc.column}: {exc}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT,
+                      f"invalid tolerance {tolerance!r}: need a finite number >= 0")
+    sources, pid = _read(args.table_file, "table", parse_pid_table)
     try:
         space, reports = qmetric.from_pid_table(sources, pid, tol=tolerance)
     except qmetric.MalformedTable as exc:
-        stderr.write(f"malformed table: {exc}\n")
-        return EXIT_INVALID_INPUT
+        raise CliExit(EXIT_INVALID_INPUT, f"malformed table: {exc}") from None
 
     axioms_hold = all(r.holds for r in reports)
     rows = space.base.rows
-    degrees = []
-    if space.axioms_hold:
-        # Pairs a < b in source order; r = 1 - d as in qmetric.degree.
-        for i, (a, row) in enumerate(zip(sources, rows)):
-            for b, d in zip(sources[i + 1 :], row[i + 1 :]):
-                degrees.append({"a": a, "b": b, "degree": 1.0 - d})
-
-    inputs = {
-        "sources": sources,
-        "pid": [[float(v) for v in row] for row in pid],
-        "tolerance": tolerance,
-    }
-    status = EXIT_OK if axioms_hold else EXIT_AXIOMS_FAILED
+    # Pairs a < b in source order; r = 1 - d as in qmetric.degree.
+    degrees = [{"a": a, "b": b, "degree": 1.0 - d}
+               for i, (a, row) in enumerate(zip(sources, rows))
+               for b, d in zip(sources[i + 1 :], row[i + 1 :])] if space.axioms_hold else []
+    inputs = {"sources": sources, "pid": [[float(v) for v in row] for row in pid],
+              "tolerance": tolerance}
     outputs = {
         "distance": rows,
         "reports": [_axiom_report_dict(r) for r in reports],
         "degrees": degrees,
         "axioms_hold": axioms_hold,
     }
-    _emit_json(_report("bridge", inputs, outputs, status), args.out, stdout)
-    return status
+    return _json(args, inputs, outputs, EXIT_OK if axioms_hold else EXIT_AXIOMS_FAILED)
 
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_density_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho11", type=float, required=True)
-    parser.add_argument("--rho22", type=float, required=True)
-    parser.add_argument("--rho12-re", dest="rho12_re", type=float, default=0.0)
-    parser.add_argument("--rho12-im", dest="rho12_im", type=float, default=0.0)
-
-
-def _add_output_args(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    if formats:
-        parser.add_argument("--output", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+COMMANDS = (
+    ("decompose", cmd_decompose, "split a density operator into coherent + which-way parts"),
+    ("zwm-sweep", cmd_zwm_sweep, "sweep idler transmission in the two-crystal model"),
+    ("fringes", cmd_fringes, "sample the detection rate over one phase period"),
+    ("qset-check", cmd_qset_check, "check axioms and the permutation theorem on a universe"),
+    ("bridge", cmd_bridge, "build a differentiation space from a degree table"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indist",
-        description="Degrees of indistinguishability: decomposition, sweeps, model checks",
-    )
+        description="Degrees of indistinguishability: decomposition, sweeps, model checks")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}
+    for name, func, text in COMMANDS:
+        cmd[name] = sub.add_parser(name, help=text)
+        cmd[name].set_defaults(func=func)
 
-    p = sub.add_parser("decompose", help="split a density operator into coherent + which-way parts")
-    _add_density_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("zwm-sweep", help="sweep idler transmission in the two-crystal model")
+    for name in ("decompose", "fringes"):
+        for arg in DENSITY_ARGS:
+            cmd[name].add_argument("--" + arg.replace("_", "-"), type=float, default=0.0,
+                                   required=arg in ("rho11", "rho22"))
+    p = cmd["zwm-sweep"]
     p.add_argument("--alpha", type=float, required=True, help="pump amplitude toward crystal 1")
     p.add_argument("--beta", type=float, required=True, help="pump amplitude toward crystal 2")
     p.add_argument("--steps", type=int, default=11)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_zwm_sweep)
-
-    p = sub.add_parser("fringes", help="sample the detection rate over one phase period")
-    _add_density_args(p)
-    p.add_argument("--samples", type=int, default=360)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_fringes)
-
-    p = sub.add_parser("qset-check", help="check axioms and the permutation theorem on a universe")
-    p.add_argument("universe_file")
-    _add_output_args(p, formats=False)
-    p.set_defaults(func=cmd_qset_check)
-
-    p = sub.add_parser("bridge", help="build a differentiation space from a degree table")
+    cmd["fringes"].add_argument("--samples", type=int, default=360)
+    cmd["qset-check"].add_argument("universe_file")
+    p = cmd["bridge"]
     p.add_argument("table_file")
     p.add_argument("--tolerance", type=float, default=None,
                    help="numeric tolerance for the axiom checks")
-    _add_output_args(p, formats=False)
-    p.set_defaults(func=cmd_bridge)
-
+    for name in ("decompose", "zwm-sweep", "fringes"):
+        cmd[name].add_argument("--output", choices=("json", "csv"), default="json")
+    for p in cmd.values():
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 
-def main(
-    argv: Optional[Sequence[str]] = None,
-    stdout: TextIO = sys.stdout,
-    stderr: TextIO = sys.stderr,
-) -> int:
+def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
+         stderr: TextIO = sys.stderr) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, stdout, stderr)
-    except OutputError as exc:
-        stderr.write(f"cannot write output file: {exc}\n")
-        return EXIT_INVALID_INPUT
+        status, text = args.func(args)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise CliExit(EXIT_INVALID_INPUT, f"cannot write output file: {exc}") from None
+        else:
+            stdout.write(text)
+    except CliExit as exc:
+        stderr.write(f"{exc.line}\n")
+        return exc.code
+    return status
 
 
 def entrypoint() -> None:

@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, exit codes, round trips, determinism."""
 
+import io
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from indist import cli
 from indist.cli import ParseError, parse_pid_table, parse_universe
 
 HERE = Path(__file__).parent
@@ -400,3 +402,99 @@ class TestLazyImports:
                     if line.startswith("import time:")}
         assert "indist.cli" in imported
         assert not imported & {"indist.quasiset", "indist.qmetric", "indist.zwm"}
+
+
+FRINGES_EXAMPLE = ("fringes", "--rho11", "0.64", "--rho22", "0.36",
+                   "--rho12-re", "0.24", "--samples", "8")
+
+
+class TestMoreGoldenFiles:
+    @pytest.mark.parametrize("argv,code,golden", [
+        ((*DECOMPOSE_EXAMPLE, "--output", "csv"), 0, "decompose_064.csv"),
+        (FRINGES_EXAMPLE, 0, "fringes_064_8.json"),
+        ((*FRINGES_EXAMPLE, "--output", "csv"), 0, "fringes_064_8.csv"),
+        (("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", "5"), 0,
+         "zwm_unbalanced_sweep_5.json"),
+        (("bridge", str(DATA / "bridge_clean.pid")), 0, "bridge_clean.json"),
+        # QM6 fails: exit 4 with the counterexample in the report.
+        (("bridge", str(DATA / "bridge_qm6.pid")), 4, "bridge_qm6.json"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_output_bytes(self, argv, code, golden):
+        cp = run_cli(*argv)
+        assert cp.returncode == code, cp.stderr
+        assert cp.stderr == ""
+        assert cp.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """Input files for the error paths; argv tokens name them as {tmp}/<file>."""
+    (tmp_path / "latin1.univ").write_bytes("species: s\natoms:\n  é micro s\n".encode("latin-1"))
+    (tmp_path / "latin1.pid").write_bytes(
+        "sources: é1 s2\npid:\n  1.0 1.0\n  1.0 1.0\n".encode("latin-1"))
+    (tmp_path / "bad.univ").write_text("species: photon\natoms:\n  ph micro p\n")
+    (tmp_path / "bad.pid").write_text("sources: s1 s2\npid:\n  1.0 x\n  0.5 1.0\n")
+    (tmp_path / "asym.pid").write_text("sources: s1 s2\npid:\n  1.0 0.5\n  0.6 1.0\n")
+    return tmp_path
+
+
+UNWRITABLE = "--out {tmp}/missing/report"
+DECOMPOSE = "decompose --rho11 0.64 --rho22 0.36 --rho12-re 0.24"
+ZWM = "zwm-sweep --alpha 1 --beta 1"
+FRINGES = "fringes --rho11 0.5 --rho22 0.5"
+QSET = "qset-check {data}/three_photons.univ"
+BRIDGE = "bridge {data}/bridge_clean.pid"
+
+
+ERROR_PATHS = [
+    ("decompose --rho11 0.5 --rho22 0.5 --rho12-re 0.6", 2,
+     "invalid density: positivity residual "),
+    ("decompose --rho11 0.3 --rho22 0.3 --rho12-re 0.5", 2,
+     "invalid density: trace residual 0.4; positivity residual 0.16\n"),
+    ("decompose --rho11 0.5 --rho22 0.5 --rho12-re 1e200", 2,
+     "invalid density: positivity residual inf\n"),
+    ("decompose --rho11 1 --rho22 0", 3, "degenerate source: "),
+    (f"{DECOMPOSE} {UNWRITABLE}", 2, "cannot write output file: "),
+    (f"{ZWM} --steps 1", 2, "steps must be >= 2, got 1\n"),
+    ("zwm-sweep --alpha 0 --beta 1", 2,
+     "bad amplitudes: both pump amplitudes must be nonzero\n"),
+    ("zwm-sweep --alpha inf --beta 1", 2, "bad amplitudes: pump amplitudes must be finite\n"),
+    ("zwm-sweep --alpha nan --beta 1", 2, "bad amplitudes: pump amplitudes must be finite\n"),
+    ("zwm-sweep --alpha 1e154 --beta 1e154", 2,
+     "bad amplitudes: the squared pump amplitudes overflow\n"),
+    ("zwm-sweep --alpha 1e200 --beta 1e200", 2,
+     "bad amplitudes: the squared pump amplitudes overflow\n"),
+    ("zwm-sweep --alpha 1e-160 --beta 1e-160", 2,
+     "bad amplitudes: pump amplitudes square-sum to "),
+    ("zwm-sweep --alpha 1e-7 --beta 1", 3, "degenerate source: "),
+    (f"{ZWM} {UNWRITABLE}", 2, "cannot write output file: "),
+    (f"{FRINGES} --samples 4", 2, "samples must be >= 8, got 4\n"),
+    ("fringes --rho11 0.7 --rho22 0.4", 2, "invalid density: trace residual "),
+    (f"{FRINGES} {UNWRITABLE}", 2, "cannot write output file: "),
+    ("qset-check {tmp}/absent.univ", 2, "cannot read universe file: "),
+    ("qset-check {tmp}/latin1.univ", 2, "cannot read universe file: "),
+    ("qset-check {tmp}/bad.univ", 2,
+     "parse error at line 3, column 12: unregistered species 'p'\n"),
+    (f"{QSET} {UNWRITABLE}", 2, "cannot write output file: "),
+    (f"{BRIDGE} --tolerance nan", 2, "invalid tolerance nan: need a finite number >= 0\n"),
+    ("bridge {tmp}/absent.pid", 2, "cannot read table file: "),
+    ("bridge {tmp}/latin1.pid", 2, "cannot read table file: "),
+    ("bridge {tmp}/bad.pid", 2, "parse error at line 3, column 1: bad matrix row '1.0 x'\n"),
+    ("bridge {tmp}/asym.pid", 2, "malformed table: "),
+    (f"{BRIDGE} {UNWRITABLE}", 2, "cannot write output file: "),
+]
+
+
+class TestErrorPaths:
+    """Every exit-2/3 path: one stderr line, nothing on stdout (exit 4 is a report)."""
+
+    @pytest.mark.parametrize("argv,code,prefix",
+                             [pytest.param(*case, id=case[0]) for case in ERROR_PATHS])
+    def test_one_line_diagnostic(self, bad_inputs, argv, code, prefix):
+        out, err = io.StringIO(), io.StringIO()
+        rc = cli.main([tok.format(tmp=bad_inputs, data=DATA) for tok in argv.split()],
+                      stdout=out, stderr=err)
+        assert rc == code
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

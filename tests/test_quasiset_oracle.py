@@ -1,11 +1,12 @@
-"""Interned signatures, bitset Q1-Q3 and per-orbit theorem checks against references.
+"""Interned signatures, bitset Q1-Q3, per-orbit theorem checks and witnesses against references.
 
 ``reference_check_equivalence_axioms`` is the lazy triple loop that the
 bitset checks replaced, and ``reference_signature`` the recursive
 nested-tuple signature that the interned ints replaced; both are kept
 verbatim as oracles.  Reports, counterexamples, indistinguishability and
 classes must agree exactly, for any relation, including non-reflexive,
-asymmetric and intransitive ones.
+asymmetric and intransitive ones.  ``reference_separation_witnesses`` is
+the pairwise scan that the per-class ``cli._separation_witnesses`` replaced.
 """
 
 from collections import Counter
@@ -21,6 +22,7 @@ from conftest import (
     relabel_species,
     theorem_outcomes,
 )
+from indist.cli import _separation_witnesses
 from indist.quasiset import (
     MACRO,
     MICRO,
@@ -28,6 +30,7 @@ from indist.quasiset import (
     AxiomReport,
     Universe,
     check_equivalence_axioms,
+    ext_identity,
     indist,
     indist_class,
     is_classical_qset,
@@ -170,6 +173,27 @@ def test_signatures_match_nested_tuple_reference(u, data):
         )
     for x in list(u.qsets) + anonymous:
         assert is_classical_qset(u, x) == reference_is_classical(u, x)
+
+
+def reference_separation_witnesses(u):
+    """The former pairwise scan: a < b in terms() order, indist but not ext-identical."""
+    terms = u.terms()
+    return [[a, b] for i, a in enumerate(terms) for b in terms[i + 1 :]
+            if indist(u, a, b) and not ext_identity(u, a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=universes())
+def test_separation_witnesses_match_pairwise_definition(u):
+    assert _separation_witnesses(u) == reference_separation_witnesses(u)
+
+
+def test_separation_witnesses_keep_row_major_order_across_classes():
+    # Class {a, d, e} straddles class {b, c}: (a, d), (a, e), (b, c), (d, e).
+    species = {"a": "s", "b": "t", "c": "t", "d": "s", "e": "s"}
+    u = Universe(species=["s", "t"], atoms=[Atom(n, MICRO, sp) for n, sp in species.items()])
+    assert _separation_witnesses(u) == reference_separation_witnesses(u) == [
+        ["a", "d"], ["a", "e"], ["b", "c"], ["d", "e"]]
 
 
 def test_theorem_instances_match_brute_force_oracle():
