@@ -405,8 +405,7 @@ def cmd_bridge(args) -> tuple[int, str]:
     degrees = [{"a": a, "b": b, "degree": 1.0 - d}
                for i, (a, row) in enumerate(zip(sources, rows))
                for b, d in zip(sources[i + 1 :], row[i + 1 :])] if space.axioms_hold else []
-    inputs = {"sources": sources, "pid": [[float(v) for v in row] for row in pid],
-              "tolerance": tolerance}
+    inputs = {"sources": sources, "pid": pid, "tolerance": tolerance}
     outputs = {
         "distance": rows,
         "reports": [_axiom_report_dict(r) for r in reports],
@@ -418,6 +417,11 @@ def cmd_bridge(args) -> tuple[int, str]:
 
 # -- argument parsing ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line through main; --help and --version still exit
+        raise CliExit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}")
+
+
 COMMANDS = (
     ("decompose", cmd_decompose, "split a density operator into coherent + which-way parts"),
     ("zwm-sweep", cmd_zwm_sweep, "sweep idler transmission in the two-crystal model"),
@@ -428,7 +432,7 @@ COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indist",
         description="Degrees of indistinguishability: decomposition, sweeps, model checks")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -461,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
          stderr: TextIO = sys.stderr) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status, text = args.func(args)
         if args.out:
             try:

@@ -34,7 +34,6 @@ answers whether the physical numbers actually form one.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -266,14 +265,14 @@ def from_pid_table(
 ) -> tuple[DifferentiationSpace, list[AxiomReport]]:
     """Build a differentiation space from pairwise indistinguishability degrees.
 
-    ``pid`` must be symmetric with unit diagonal and values in [0, 1];
-    distances are d = 1 - pid.  Each source is assigned to a species by the
-    transitive closure of the zero-distance pairs, so species equality can
-    only match d = 0 when those pairs already form an equivalence; a
-    "zero-transitivity" report (with a witnessing chain) plus the QM axiom
-    reports convey any failure.  Nothing beyond table shape raises: whether
-    physical degree tables form such spaces is exactly the question the
-    report answers.
+    ``pid`` must be symmetric with unit diagonal, and each degree v and its
+    distance d = 1 - v must lie in [0, 1].  Each source is assigned to a
+    species by the transitive closure of the zero-distance pairs, so species
+    equality can only match d = 0 when those pairs already form an
+    equivalence; a "zero-transitivity" report (with a witnessing chain) plus
+    the QM axiom reports convey any failure.  Nothing beyond table shape
+    raises: whether physical degree tables form such spaces is exactly the
+    question the report answers.
     """
     names = list(sources)
     n = len(names)
@@ -283,86 +282,72 @@ def from_pid_table(
         raise MalformedTable("duplicate source names")
     if len(pid) != n or any(len(row) != n for row in pid):
         raise MalformedTable(f"table must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            v = float(pid[i][j])
-            if not math.isfinite(v) or v < -tol or v > 1.0 + tol:
-                raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
-            if abs(v - pid[j][i]) > tol:
-                raise MalformedTable(f"asymmetry at ({i}, {j})")
-        if abs(pid[i][i] - 1.0) > tol:
-            raise MalformedTable(f"diagonal entry {pid[i][i]!r} at ({i}, {i}) is not 1")
 
-    distances = {
-        (names[i], names[j]): 1.0 - float(pid[i][j]) for i in range(n) for j in range(n)
-    }
-
-    # Species = connected components of the zero-distance graph.
-    parent = {name: name for name in names}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # One row-major pass checks each entry, stores its distance and collects
+    # the zero-distance graph; symmetry is checked at the upper entry of a pair.
+    hi = 1.0 + tol
+    distances: dict[tuple[str, str], float] = {}
     adjacency: dict[str, list[str]] = {name: [] for name in names}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if distances[(names[i], names[j])] <= tol:
-                adjacency[names[i]].append(names[j])
-                adjacency[names[j]].append(names[i])
-                ra, rb = find(names[i]), find(names[j])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    for i, (a, row) in enumerate(zip(names, pid)):
+        for j, (b, v) in enumerate(zip(names, row)):
+            v = float(v)
+            d = 1.0 - v
+            if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
+                raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
+            distances[a, b] = d
+            if j > i:
+                if abs(v - pid[j][i]) > tol:
+                    raise MalformedTable(f"asymmetry at ({i}, {j})")
+                if d <= tol:
+                    adjacency[a].append(b)
+                    adjacency[b].append(a)
+        if abs(row[i] - 1.0) > tol:
+            raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
 
-    species_of = {name: find(name) for name in names}
-    zero_report = _zero_transitivity_report(names, distances, adjacency, species_of, tol)
+    # Species = connected components of the zero-distance graph, each
+    # labelled by its least name; members are listed in source order.
+    species_of: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
+    for name in names:
+        if name not in species_of:
+            component = _zero_tree(adjacency, name)
+            species_of.update(dict.fromkeys(component, min(component)))
+        members.setdefault(species_of[name], []).append(name)
 
-    universe = Universe(
-        species=sorted(set(species_of.values())),
-        atoms=[Atom(name, MICRO, species_of[name]) for name in names],
-    )
+    # A witness is a zero-distance chain whose endpoints are a positive
+    # distance apart; replaying the chain against the table re-derives it.
+    breach = next(((a, b) for a in names for b in members[species_of[a]]
+                   if a < b and distances[a, b] > tol), None)
+    chain = None
+    if breach is not None:
+        start, goal = breach
+        tree = _zero_tree(adjacency, start)
+        chain = (goal,)
+        while chain[0] != start:
+            chain = (tree[chain[0]], *chain)
+    zero_report = AxiomReport("zero-transitivity", chain is None, chain)
+
+    universe = Universe(species=sorted(members),
+                        atoms=[Atom(name, MICRO, species_of[name]) for name in names])
     base = QuasiMetricSpace(carrier=tuple(names), distances=distances)
     space = differentiation_space(base, universe, tol=tol)
     return space, [zero_report] + list(space.axiom_reports)
 
 
-def _zero_transitivity_report(
-    names: Sequence[str],
-    distances: Mapping[tuple[str, str], float],
-    adjacency: Mapping[str, Sequence[str]],
-    species_of: Mapping[str, str],
-    tol: float,
-) -> AxiomReport:
-    # A witness is a zero-distance chain whose endpoints are a positive
-    # distance apart; replaying the chain against the table re-derives it.
-    for a in names:
-        for b in names:
-            if a < b and species_of[a] == species_of[b] and distances[(a, b)] > tol:
-                return AxiomReport(
-                    "zero-transitivity", False, counterexample=_zero_path(adjacency, a, b)
-                )
-    return AxiomReport("zero-transitivity", True)
+def _zero_tree(adjacency: Mapping[str, Sequence[str]], start: str) -> dict[str, str]:
+    """Breadth-first tree of start's zero-distance component: node -> parent.
 
-
-def _zero_path(adjacency: Mapping[str, Sequence[str]], start: str, goal: str) -> tuple:
-    seen = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            path = []
-            trace: Optional[str] = node
-            while trace is not None:
-                path.append(trace)
-                trace = seen[trace]
-            return tuple(reversed(path))
+    Neighbours are visited in name order, so the tree path from ``start`` to
+    a node is the lexicographically least of the shortest chains between them.
+    """
+    tree = {start: start}
+    queue = [start]
+    for node in queue:
         for nxt in sorted(adjacency[node]):
-            if nxt not in seen:
-                seen[nxt] = node
+            if nxt not in tree:
+                tree[nxt] = node
                 queue.append(nxt)
-    return (start, goal)
+    return tree
 
 
 # -- Heyting operations on the [0, 1] chain ---------------------------------

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indist import cli
 from indist.cli import ParseError, parse_pid_table, parse_universe
@@ -435,6 +436,10 @@ def bad_inputs(tmp_path):
     (tmp_path / "bad.univ").write_text("species: photon\natoms:\n  ph micro p\n")
     (tmp_path / "bad.pid").write_text("sources: s1 s2\npid:\n  1.0 x\n  0.5 1.0\n")
     (tmp_path / "asym.pid").write_text("sources: s1 s2\npid:\n  1.0 0.5\n  0.6 1.0\n")
+    # Degrees inside [-tol, 1 + tol] whose distance 1 - v rounds below -tol.
+    for name, v in (("over.pid", "1.000000000001"), ("over_tenth.pid", "1.1"),
+                    ("over_1e-7.pid", "1.0000001")):
+        (tmp_path / name).write_text(f"sources: s1 s2\npid:\n  1.0 {v}\n  {v} 1.0\n")
     return tmp_path
 
 
@@ -482,6 +487,16 @@ ERROR_PATHS = [
     ("bridge {tmp}/bad.pid", 2, "parse error at line 3, column 1: bad matrix row '1.0 x'\n"),
     ("bridge {tmp}/asym.pid", 2, "malformed table: "),
     (f"{BRIDGE} {UNWRITABLE}", 2, "cannot write output file: "),
+    ("fringes --rho11 0.5 --rho22 0.5 --samples 1e3", 2,
+     "indist fringes: error: argument --samples: invalid int value: '1e3'\n"),
+    ("decompose --rho11 0.5", 2,
+     "indist decompose: error: the following arguments are required: --rho22\n"),
+    ("bridge {tmp}/over.pid", 2,
+     "malformed table: value 1.000000000001 at (0, 1) outside [0, 1]\n"),
+    ("bridge {tmp}/over_tenth.pid --tolerance 0.1", 2,
+     "malformed table: value 1.1 at (0, 1) outside [0, 1]\n"),
+    ("bridge {tmp}/over_1e-7.pid --tolerance 1e-7", 2,
+     "malformed table: value 1.0000001 at (0, 1) outside [0, 1]\n"),
 ]
 
 
@@ -498,3 +513,23 @@ class TestErrorPaths:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(prefix)
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+FUZZ_TOKENS = ("species:", "atoms:", "qsets:", "sources:", "pid:", "a", "b", "x", "photon",
+               "micro", "macro", "0", "0.5", "1.0", "-1", "1e400", "nan", "=", ":", "#")
+fuzz_text = st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6), max_size=8).map(
+    lambda lines: "\n".join("  " * (i % 2) + " ".join(line) for i, line in enumerate(lines)))
+
+
+class TestParserFuzz:
+    """Random token files either parse or raise ParseError, nothing else."""
+
+    @pytest.mark.parametrize("parse", [parse_universe, parse_pid_table],
+                             ids=lambda parse: parse.__name__)
+    @settings(max_examples=300, deadline=None)
+    @given(text=fuzz_text)
+    def test_value_or_parse_error(self, parse, text):
+        try:
+            parse(text)
+        except ParseError:
+            pass

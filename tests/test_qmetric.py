@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indist.onephoton import degree_of_indistinguishability
 from indist.qmetric import (
@@ -279,6 +279,35 @@ def _random_clean_table(rng: Random, max_sources: int = 8):
         for i in range(n)
     ]
     return names, pid
+
+
+@st.composite
+def edge_degree_tables(draw):
+    """Small symmetric tables of edge degrees, sometimes with one entry broken."""
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-7, 0.1]))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 1.0 + tol, -tol, 1.1, math.nan, math.inf]),
+                      st.floats(min_value=-0.5, max_value=1.5))
+    n = draw(st.integers(min_value=1, max_value=4))
+    pid = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or draw(st.booleans()):
+                pid[i][j] = pid[j][i] = draw(value)
+    if draw(st.booleans()):
+        pid[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(value)
+    return [f"s{i}" for i in range(n)], pid, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_degree_tables())
+def test_from_pid_table_returns_or_rejects(case):
+    """A table either becomes a space whose distances are in range or is MalformedTable."""
+    names, pid, tol = case
+    try:
+        space, _ = from_pid_table(names, pid, tol=tol)
+    except MalformedTable:
+        return
+    assert all(-tol <= d <= 1.0 + tol for d in space.base.distances.values())
 
 
 class TestDegreeRelations:
