@@ -1,6 +1,6 @@
 """Degrees of indistinguishability: interferometry numbers and finite models.
 
-Subpackages:
+Modules:
 
 * ``onephoton`` -- one-photon two-source density operators, their unique
   coherent/diagonal decomposition, coherence functions, fringe scans.

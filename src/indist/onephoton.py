@@ -18,14 +18,14 @@ equals the modulus of the normalized mutual coherence between the source
 fields and, up to the source-imbalance factor 2*sqrt(rho11*rho22), the
 visibility of the fringes a detector coupled equally to both sources records.
 
-All types here are immutable values and all operations are pure functions.
+All value types here are immutable ``NamedTuple`` records and all operations
+are pure functions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
 
@@ -55,16 +55,14 @@ class ZeroField(ValueError):
     """Field constant K is zero; coherence functions are all trivially zero."""
 
 
-@dataclass(frozen=True)
-class OnePhotonState:
+class OnePhotonState(NamedTuple):
     """Pure superposition alpha |1,0> + beta |0,1> of the two source modes."""
 
     alpha: complex
     beta: complex
 
 
-@dataclass(frozen=True)
-class DensityOperator2:
+class DensityOperator2(NamedTuple):
     """2x2 density operator on the two-source subspace.
 
     Hermiticity is structural: only the upper off-diagonal element is stored
@@ -82,16 +80,14 @@ class DensityOperator2:
         return complex(self.rho12).conjugate()
 
 
-@dataclass(frozen=True)
-class DensityIssue:
+class DensityIssue(NamedTuple):
     """One violated density-operator invariant with its residual magnitude."""
 
     invariant: str
     residual: float
 
 
-@dataclass(frozen=True)
-class MandelDecomposition:
+class MandelDecomposition(NamedTuple):
     """Unique split rho = p_id * rho_id + p_d * rho_d."""
 
     p_id: float
@@ -100,8 +96,7 @@ class MandelDecomposition:
     rho_d: DensityOperator2
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     """Mutual coherence functions of the two source fields.
 
     ``gamma11``, ``gamma22`` and ``gamma12`` carry units of |K|^2; the
@@ -115,8 +110,7 @@ class CoherenceReport:
     k_const: complex
 
 
-@dataclass(frozen=True)
-class FringeScan:
+class FringeScan(NamedTuple):
     """Detection rate sampled over one period of interferometer phase."""
 
     samples: tuple[tuple[float, float], ...]
@@ -150,7 +144,9 @@ def make_pure_state(psi: OnePhotonState) -> DensityOperator2:
 def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[DensityIssue]:
     """Report every violated invariant of ``rho``; an empty list means valid.
 
-    Checks the unit trace and the positivity bound |rho12|^2 <= rho11*rho22.
+    Checks the unit trace and positivity, which fails when the excess
+    |rho12|^2 - rho11*rho22 (the reported residual) exceeds ``tol`` or when
+    |rho12| > sqrt(rho11*rho22) * (1 + tol), so tiny weights hide no excess.
     Non-finite entries short-circuit into a single "finite" issue; a
     |rho12|^2 too large for a float is a positivity excess of inf.
     """
@@ -162,11 +158,13 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     trace_residual = abs(rho.rho11 + rho.rho22 - 1.0)
     if trace_residual > tol:
         issues.append(DensityIssue("trace", trace_residual))
+    product = rho.rho11 * rho.rho22
     try:
-        positivity_excess = abs(rho.rho12) ** 2 - rho.rho11 * rho.rho22
+        mag = abs(rho.rho12)
+        positivity_excess = mag ** 2 - product
     except OverflowError:
-        positivity_excess = math.inf
-    if positivity_excess > tol:
+        mag = positivity_excess = math.inf
+    if positivity_excess > tol or (product > 0.0 and mag > math.sqrt(product) * (1.0 + tol)):
         issues.append(DensityIssue("positivity", positivity_excess))
     return issues
 

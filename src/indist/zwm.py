@@ -97,9 +97,9 @@ def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
     ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
     Only tau changes along the grid, so the pump split is validated and the
     populations are checked once here; each row checks only |tau|.  Its
-    rho12 needs no positivity check: the excess |rho12|^2 - rho11*rho22 =
-    rho11*rho22*(|tau|^2 - 1) is at most about 1/4 * 2 * AMPLITUDE_TOL,
-    below ``onephoton.ANALYTIC_TOL``.
+    rho12 needs no positivity check: |rho12| / sqrt(rho11*rho22) = |tau| =
+    t*|phase| <= |phase|, which is 1 within a few ulp, so the relative excess
+    is a few ulp, far below ``onephoton.ANALYTIC_TOL``.
     """
     _require_valid(setup)
     if steps < 2:

@@ -409,6 +409,32 @@ FRINGES_EXAMPLE = ("fringes", "--rho11", "0.64", "--rho22", "0.36",
                    "--rho12-re", "0.24", "--samples", "8")
 
 
+# Writes to stderr which of dataclasses and inspect running argv newly imports.
+LEAN_START_CHILD = """
+import sys
+from io import StringIO
+before = set(sys.modules)
+from indist.cli import main
+try:
+    main(sys.argv[1:], stdout=StringIO())
+except SystemExit:  # --version exits through argparse
+    pass
+sys.stderr.write(repr(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+class TestLeanStart:
+    # sys.modules is diffed instead of reading -X importtime, because site
+    # may import dataclasses before indist on some installations.
+    @pytest.mark.parametrize("argv", [DECOMPOSE_EXAMPLE, FRINGES_EXAMPLE, ("--version",)],
+                             ids=lambda argv: argv[0])
+    def test_optics_commands_skip_dataclasses_and_inspect(self, argv):
+        cp = subprocess.run([sys.executable, "-c", LEAN_START_CHILD, *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == "[]"
+
+
 class TestMoreGoldenFiles:
     @pytest.mark.parametrize("argv,code,golden", [
         ((*DECOMPOSE_EXAMPLE, "--output", "csv"), 0, "decompose_064.csv"),
@@ -497,6 +523,8 @@ ERROR_PATHS = [
      "malformed table: value 1.1 at (0, 1) outside [0, 1]\n"),
     ("bridge {tmp}/over_1e-7.pid --tolerance 1e-7", 2,
      "malformed table: value 1.0000001 at (0, 1) outside [0, 1]\n"),
+    ("decompose --rho11 1e-12 --rho22 0.999999999999 --rho12-re 1.4e-6", 2,
+     "invalid density: positivity residual "),
 ]
 
 

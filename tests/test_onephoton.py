@@ -6,13 +6,20 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indist.onephoton import (
+    ANALYTIC_TOL,
+    CoherenceReport,
     DegenerateSource,
+    DensityIssue,
     DensityOperator2,
+    FringeScan,
     InvalidDensity,
+    MandelDecomposition,
     NotNormalized,
     OnePhotonState,
+    VisibilityComparison,
     ZeroField,
     coherence_functions,
     degree_of_indistinguishability,
@@ -297,3 +304,73 @@ class TestInvariants:
         rng = Random(123)
         for _ in range(500):
             assert validate_density(random_density(rng)) == []
+
+
+def absolute_rule_rejects(rho, tol=ANALYTIC_TOL):
+    """Frozen reference: the positivity rule before it became relative."""
+    try:
+        excess = abs(rho.rho12) ** 2 - rho.rho11 * rho.rho22
+    except OverflowError:
+        excess = math.inf
+    return excess > tol
+
+
+# Smaller source weight log-uniform on 1e-12..0.5; the other gets the rest.
+small_weights = st.floats(min_value=-12.0, max_value=math.log10(0.5)).map(lambda e: 10.0 ** e)
+# c = |rho12| / sqrt(rho11*rho22): inside the cone, near its edge, and outside.
+ratios = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 10.0]).flatmap(
+        lambda k: st.sampled_from([1.0 - k * ANALYTIC_TOL, 1.0 + k * ANALYTIC_TOL])),
+    st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+)
+
+
+class TestRelativePositivity:
+    @settings(max_examples=500, deadline=None)
+    @given(small=small_weights, c=ratios, swap=st.booleans(),
+           phase=st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_rule_scales_with_the_source_weights(self, small, c, swap, phase):
+        rho11, rho22 = (1.0 - small, small) if swap else (small, 1.0 - small)
+        rho = DensityOperator2(rho11, rho22,
+                               c * math.sqrt(rho11 * rho22) * cmath.exp(1j * phase))
+        rejected = "positivity" in [i.invariant for i in validate_density(rho)]
+        if c <= 1.0:
+            assert not rejected
+        if c > 1.0 + 2 * ANALYTIC_TOL:
+            assert rejected
+        if absolute_rule_rejects(rho):
+            assert rejected
+        elif rejected:
+            assert c > 1.0 + ANALYTIC_TOL
+
+
+class TestRecordApi:
+    def test_records_are_immutable_tuples_with_stable_repr(self):
+        rho = DensityOperator2(rho11=0.64, rho22=0.36, rho12=0.24)
+        records = {
+            "OnePhotonState(alpha=0.8, beta=0.6j)": OnePhotonState(0.8, 0.6j),
+            "DensityOperator2(rho11=0.64, rho22=0.36, rho12=0.24)": rho,
+            "DensityIssue(invariant='trace', residual=0.1)": DensityIssue("trace", 0.1),
+            "MandelDecomposition(p_id=0.5, p_d=0.5, "
+            "rho_id=DensityOperator2(rho11=0.64, rho22=0.36, rho12=(0.48+0j)), "
+            "rho_d=DensityOperator2(rho11=0.64, rho22=0.36, rho12=0j))":
+                MandelDecomposition(0.5, 0.5, DensityOperator2(0.64, 0.36, 0.48 + 0j),
+                                    DensityOperator2(0.64, 0.36, 0j)),
+            "CoherenceReport(gamma11=0.64, gamma22=0.36, gamma12=(0.24+0j), "
+            "gamma12_normalized=(0.5+0j), k_const=(1+0j))":
+                CoherenceReport(0.64, 0.36, 0.24 + 0j, 0.5 + 0j, 1 + 0j),
+            "FringeScan(samples=((0.0, 2.0), (3.14, 0.0)), visibility=1.0)":
+                FringeScan(((0.0, 2.0), (3.14, 0.0)), 1.0),
+            "VisibilityComparison(visibility=0.48, p_id=0.5, ratio=0.96)":
+                VisibilityComparison(0.48, 0.5, 0.96),
+        }
+        for text, record in records.items():
+            assert repr(record) == text
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            twin = type(record)(*record)
+            assert twin == record and hash(twin) == hash(record)
+        assert rho.rho21 == 0.24 - 0j
+        # The records are tuples: equal to a plain tuple of their fields.
+        assert DensityOperator2(0.5, 0.5, 0j) == (0.5, 0.5, 0j)
