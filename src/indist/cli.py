@@ -164,11 +164,12 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
     """Parse the degree-table format into (sources, row-major matrix)."""
     sources: list[str] = []
     rows: list[list[float]] = []
-    section = None
+    section = header_line = None
     for lineno, line in _content_lines(text):
         stripped = line.strip()
         if stripped.startswith("sources:"):
             section = "sources"
+            header_line = header_line or lineno
             sources.extend(stripped.split(":", 1)[1].split())
             continue
         if stripped.startswith("pid:"):
@@ -186,7 +187,9 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
         else:
             raise ParseError(f"expected a section header, got {stripped!r}", lineno)
     if not sources:
-        raise ParseError("missing 'sources:' section", 1)
+        if header_line is None:
+            raise ParseError("missing 'sources:' section", 1)
+        raise ParseError("empty 'sources:' section", header_line)
     if len(rows) != len(sources) or any(len(r) != len(sources) for r in rows):
         raise ParseError(f"matrix must be {len(sources)}x{len(sources)}", 1)
     return sources, rows

@@ -146,14 +146,21 @@ def verify_qm_axioms(
     in row-major carrier order.
 
     The relation is evaluated once per ordered pair.  QM6 and congruence
-    test a whole row per C-level iterator chain (QM6 costs O(n^3)
-    comparisons, congruence O(k n) for k related pairs) and only scan in
-    Python to name the witness once a row is known to fail.
+    test a whole row per C-level iterator chain and only scan in Python to
+    name the witness once a row is known to fail.  Each row gets an id by
+    exact tuple equality, and both checks skip work whose outcome an equal
+    row already decided: QM6 costs O(k m n) comparisons for k distinct rows
+    and m distinct (d(a, b), row of b) keys per row, congruence O(n^2 + p n)
+    for p distinct related row-id pairs.  Rows equal only within ``tol``
+    get distinct ids, so a table without exactly repeated rows still costs
+    O(n^3).
     """
     rel = relation if relation is not None else indist
     carrier = space.carrier
     rows = space.rows
     related = [[bool(rel(universe, a, b)) for b in carrier] for a in carrier]
+    ids: dict[tuple[float, ...], int] = {}
+    row_ids = [ids.setdefault(row, len(ids)) for row in rows]
 
     reports = [AxiomReport("QM1", len(carrier) > 0, None if carrier else ())]
 
@@ -174,42 +181,67 @@ def verify_qm_axioms(
         "QM3": qm3,
         "QM4": qm4,
         "QM5": qm5,
-        "QM6": _triangle_breach(carrier, rows, tol),
-        "congruence": _congruence_breach(carrier, rows, related, tol),
+        "QM6": _triangle_breach(carrier, rows, row_ids, tol),
+        "congruence": _congruence_breach(carrier, rows, row_ids, related, tol),
     }
     reports.extend(AxiomReport(axiom, w is None, w) for axiom, w in witnesses.items())
     return reports
 
 
 def _triangle_breach(
-    carrier: Sequence[str], rows: Sequence[Sequence[float]], tol: float
+    carrier: Sequence[str],
+    rows: Sequence[Sequence[float]],
+    row_ids: Sequence[int],
+    tol: float,
 ) -> Optional[tuple[str, str, str]]:
-    """First (a, b, c) with d(a, c) > d(a, b) + d(b, c) + tol, or None."""
+    """First (a, b, c) with d(a, c) > d(a, b) + d(b, c) + tol, or None.
+
+    Whether (a, b, c) fails depends only on row a, d(a, b) and row b, so an
+    a whose row already passed, and a b whose (d(a, b), row of b) key was
+    already checked for this a, are skipped without moving the first witness.
+    """
     ties = repeat(tol)
-    for a, row_a in zip(carrier, rows):
-        for b, d_ab, row_b in zip(carrier, row_a, rows):
+    passed: set[int] = set()
+    for a, row_a, id_a in zip(carrier, rows, row_ids):
+        if id_a in passed:
+            continue
+        checked: set[tuple[float, int]] = set()
+        for b, d_ab, row_b, id_b in zip(carrier, row_a, rows, row_ids):
+            key = d_ab, id_b
+            if key in checked:
+                continue
+            checked.add(key)
             # The same float expression, evaluated per c inside the iterators.
             if any(map(gt, row_a, map(add, map(add, repeat(d_ab), row_b), ties))):
                 return a, b, next(
                     c for c, d_ac, d_bc in zip(carrier, row_a, row_b) if d_ac > d_ab + d_bc + tol
                 )
+        passed.add(id_a)
     return None
 
 
 def _congruence_breach(
     carrier: Sequence[str],
     rows: Sequence[Sequence[float]],
+    row_ids: Sequence[int],
     related: Sequence[Sequence[bool]],
     tol: float,
 ) -> Optional[tuple[str, str, str]]:
-    """First (a, a2, b) with a ~ a2, a != a2 and |d(a, b) - d(a2, b)| > tol, or None."""
+    """First (a, a2, b) with a ~ a2, a != a2 and |d(a, b) - d(a2, b)| > tol, or None.
+
+    The outcome of a pair depends only on its two rows, so a pair whose row
+    ids already passed is skipped.
+    """
     ties = repeat(tol)
-    for a, row_a, rel_row in zip(carrier, rows, related):
-        for a2, row_a2, r in zip(carrier, rows, rel_row):
-            if r and a != a2 and any(map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
-                return a, a2, next(
-                    b for b, d, d2 in zip(carrier, row_a, row_a2) if abs(d - d2) > tol
-                )
+    passed: set[tuple[int, int]] = set()
+    for a, row_a, id_a, rel_row in zip(carrier, rows, row_ids, related):
+        for a2, row_a2, id_a2, r in zip(carrier, rows, row_ids, rel_row):
+            if r and a != a2 and (id_a, id_a2) not in passed:
+                if any(map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
+                    return a, a2, next(
+                        b for b, d, d2 in zip(carrier, row_a, row_a2) if abs(d - d2) > tol
+                    )
+                passed.add((id_a, id_a2))
     return None
 
 

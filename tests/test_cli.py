@@ -445,6 +445,8 @@ class TestMoreGoldenFiles:
         (("bridge", str(DATA / "bridge_clean.pid")), 0, "bridge_clean.json"),
         # QM6 fails: exit 4 with the counterexample in the report.
         (("bridge", str(DATA / "bridge_qm6.pid")), 4, "bridge_qm6.json"),
+        # Repeated rows: congruence fails at (b1, b3) after (a1, a2) and (b1, b2) pass.
+        (("bridge", str(DATA / "bridge_groups.pid")), 4, "bridge_groups.json"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_output_bytes(self, argv, code, golden):
         cp = run_cli(*argv)
@@ -466,6 +468,7 @@ def bad_inputs(tmp_path):
     for name, v in (("over.pid", "1.000000000001"), ("over_tenth.pid", "1.1"),
                     ("over_1e-7.pid", "1.0000001")):
         (tmp_path / name).write_text(f"sources: s1 s2\npid:\n  1.0 {v}\n  {v} 1.0\n")
+    (tmp_path / "no_names.pid").write_text("# no names\n\nsources:\npid:\n  1.0\n")
     return tmp_path
 
 
@@ -525,6 +528,7 @@ ERROR_PATHS = [
      "malformed table: value 1.0000001 at (0, 1) outside [0, 1]\n"),
     ("decompose --rho11 1e-12 --rho22 0.999999999999 --rho12-re 1.4e-6", 2,
      "invalid density: positivity residual "),
+    ("bridge {tmp}/no_names.pid", 2, "parse error at line 3, column 1: empty 'sources:' section\n"),
 ]
 
 

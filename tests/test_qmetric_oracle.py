@@ -222,3 +222,76 @@ def test_triangle_sum_is_evaluated_left_to_right(d_ab, d_bc, tol):
     reports = verify_qm_axioms(space, universe, tol=tol)
     assert reports == reference_verify_qm_axioms(space, universe, tol=tol)
     assert reports[5] == AxiomReport("QM6", False, ("a", "b", "c"))
+
+
+def _perturb(x, kind):
+    if kind == "flip_zero":
+        return -x if x == 0 else x
+    if kind == "negate":
+        return -x
+    if kind == "ulp":
+        return math.nextafter(x, math.inf)
+    if kind == "fresh_nan":
+        return float("nan")  # a NaN object distinct from math.nan
+    return {"sum": 0.1 + 0.2, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+
+
+@st.composite
+def grouped_spaces(draw):
+    """Tables whose rows repeat by group, with near-copies the row ids must tell apart.
+
+    d(a, b) comes from a group-by-group matrix, so sources in one group share
+    a row; then a few entries are perturbed: a zero's sign flipped (still an
+    equal row), the entry negated, 1 ulp up, 0.1 + 0.2 in place of 0.3, or
+    NaN/inf.
+    """
+    tol = draw(st.sampled_from([0.0, 1e-12, 0.1]))
+    value = st.sampled_from(
+        [0.0, -0.0, 0.3, 0.1 + 0.2, 0.25, 0.5, 0.75, 1.0, tol, math.nextafter(0.3, 1.0),
+         math.nan, math.inf, -math.inf])
+    k = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        # Groups on a line: triangles through a middle group are tight, so
+        # a 1-ulp nudge breaks QM6 exactly there.
+        x = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=k, max_size=k))
+        group_d = [[abs(p - q) for q in x] for p in x]
+    else:
+        symmetric = draw(st.booleans())
+        group_d = [[None] * k for _ in range(k)]
+        for g in range(k):
+            for h in range(k):
+                if g == h:
+                    group_d[g][h] = draw(st.one_of(st.sampled_from([0.0, -0.0]), value))
+                elif symmetric and h < g:
+                    group_d[g][h] = group_d[h][g]
+                else:
+                    group_d[g][h] = draw(value)
+    n = draw(st.integers(min_value=1, max_value=8))
+    group = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    names = [f"t{i}" for i in range(n)]
+    rows = [[group_d[group[i]][group[j]] for j in range(n)] for i in range(n)]
+    kinds = st.sampled_from(["flip_zero", "negate", "ulp", "sum", "nan", "fresh_nan", "inf",
+                             "-inf"])
+    for i, j, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              kinds), max_size=4)):
+        rows[i][j] = _perturb(rows[i][j], kind)
+    if draw(st.booleans()):
+        species = [f"g{g}" for g in group]
+    else:
+        species = draw(st.lists(st.sampled_from(["x", "y"]), min_size=n, max_size=n))
+    universe = Universe(
+        species=sorted(set(species)),
+        atoms=[Atom(name, MICRO, sp) for name, sp in zip(names, species)],
+    )
+    distances = {(a, b): d for a, row in zip(names, rows) for b, d in zip(names, row)}
+    return QuasiMetricSpace(tuple(names), distances), universe, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grouped_spaces(), uid=st.booleans())
+def test_repeated_rows_match_reference(case, uid):
+    space, universe, tol = case
+    relation = uid_equality if uid else None
+    assert verify_qm_axioms(space, universe, tol=tol, relation=relation) == (
+        reference_verify_qm_axioms(space, universe, tol=tol, relation=relation)
+    )
