@@ -80,6 +80,9 @@ class ParseError(ValueError):
 
 # -- input files --------------------------------------------------------------
 
+_TOKEN = re.compile(r"\S+")
+
+
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -91,7 +94,7 @@ def parse_universe(text: str) -> quasiset.Universe:
     """Parse the sectioned universe format into a Universe."""
     from . import quasiset
 
-    species: list[str] = []
+    species: set[str] = set()
     atoms: list[quasiset.Atom] = []
     atom_names: set[str] = set()
     qsets: dict[str, list[str]] = {}
@@ -101,22 +104,27 @@ def parse_universe(text: str) -> quasiset.Universe:
     for lineno, line in _content_lines(text):
         stripped = line.strip()
         head = stripped.split(":", 1)[0].strip() if ":" in stripped else None
+        start = 0
         if head in ("species", "atoms", "qsets"):
             section = head
-            rest = stripped.split(":", 1)[1].strip()
-            if rest:
-                if section != "species":
+            start = line.index(":") + 1
+            if section != "species":
+                if line[start:].strip():
                     raise ParseError(f"section {head!r} takes no inline entries", lineno)
-                species.extend(rest.split())
-            continue
-        if section is None:
+                continue
+        elif section is None:
             raise ParseError(f"expected a section header, got {stripped!r}", lineno)
-        # Error columns are the 1-based offsets of the tokens in the line.
-        columns = [m.start() + 1 for m in re.finditer(r"\S+", line)]
 
         if section == "species":
-            species.extend(stripped.split())
-        elif section == "atoms":
+            for m in _TOKEN.finditer(line, start):
+                label = m.group()
+                if label in species:
+                    raise ParseError(f"duplicate species label {label!r}", lineno, m.start() + 1)
+                species.add(label)
+            continue
+        # Error columns are the 1-based offsets of the tokens in the line.
+        columns = [m.start() + 1 for m in _TOKEN.finditer(line)]
+        if section == "atoms":
             fields = stripped.split()
             if len(fields) == 2 and fields[1] == quasiset.MACRO:
                 name, sp = fields[0], None
@@ -151,9 +159,6 @@ def parse_universe(text: str) -> quasiset.Universe:
             if m not in known:
                 raise ParseError(f"qset {name!r} references unknown term {m!r}", qset_lines[name])
 
-    if len(set(species)) != len(species):
-        raise ParseError("duplicate species label", 1)
-
     try:
         return quasiset.Universe(species=species, atoms=atoms, qsets=qsets)
     except quasiset.MalformedUniverse as exc:
@@ -164,7 +169,8 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
     """Parse the degree-table format into (sources, row-major matrix)."""
     sources: list[str] = []
     rows: list[list[float]] = []
-    section = header_line = None
+    row_lines: list[int] = []
+    section = header_line = pid_line = None
     for lineno, line in _content_lines(text):
         stripped = line.strip()
         if stripped.startswith("sources:"):
@@ -174,6 +180,7 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
             continue
         if stripped.startswith("pid:"):
             section = "pid"
+            pid_line = pid_line or lineno
             if stripped.split(":", 1)[1].strip():
                 raise ParseError("matrix rows go on their own lines", lineno)
             continue
@@ -184,14 +191,20 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
                 rows.append([float(tok) for tok in stripped.split()])
             except ValueError:
                 raise ParseError(f"bad matrix row {stripped!r}", lineno) from None
+            row_lines.append(lineno)
         else:
             raise ParseError(f"expected a section header, got {stripped!r}", lineno)
     if not sources:
         if header_line is None:
             raise ParseError("missing 'sources:' section", 1)
         raise ParseError("empty 'sources:' section", header_line)
-    if len(rows) != len(sources) or any(len(r) != len(sources) for r in rows):
-        raise ParseError(f"matrix must be {len(sources)}x{len(sources)}", 1)
+    # A bad or extra row is reported at its own line, missing rows at the header.
+    n = len(sources)
+    for i, (row, lineno) in enumerate(zip(rows, row_lines)):
+        if i == n or len(row) != n:
+            raise ParseError(f"matrix must be {n}x{n}", lineno)
+    if len(rows) < n:
+        raise ParseError(f"matrix must be {n}x{n}", pid_line or header_line)
     return sources, rows
 
 

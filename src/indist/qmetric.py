@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, gt, sub
 from typing import Mapping, Optional, Sequence
 
@@ -146,8 +146,8 @@ def verify_qm_axioms(
     in row-major carrier order.
 
     The relation is evaluated once per ordered pair.  QM6 and congruence
-    test a whole row per C-level iterator chain and only scan in Python to
-    name the witness once a row is known to fail.  Each row gets an id by
+    test a whole row per C-level iterator chain, and ``compress`` over that
+    same chain names the first witness.  Each row gets an id by
     exact tuple equality, and both checks skip work whose outcome an equal
     row already decided: QM6 costs O(k m n) comparisons for k distinct rows
     and m distinct (d(a, b), row of b) keys per row, congruence O(n^2 + p n)
@@ -211,11 +211,10 @@ def _triangle_breach(
             if key in checked:
                 continue
             checked.add(key)
-            # The same float expression, evaluated per c inside the iterators.
-            if any(map(gt, row_a, map(add, map(add, repeat(d_ab), row_b), ties))):
-                return a, b, next(
-                    c for c, d_ac, d_bc in zip(carrier, row_a, row_b) if d_ac > d_ab + d_bc + tol
-                )
+            # d(a, c) > d(a, b) + d(b, c) + tol per c, in C; the first c that fails is the witness.
+            fails = map(gt, row_a, map(add, map(add, repeat(d_ab), row_b), ties))
+            for c in compress(carrier, fails):
+                return a, b, c
         passed.add(id_a)
     return None
 
@@ -237,10 +236,8 @@ def _congruence_breach(
     for a, row_a, id_a, rel_row in zip(carrier, rows, row_ids, related):
         for a2, row_a2, id_a2, r in zip(carrier, rows, row_ids, rel_row):
             if r and a != a2 and (id_a, id_a2) not in passed:
-                if any(map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
-                    return a, a2, next(
-                        b for b, d, d2 in zip(carrier, row_a, row_a2) if abs(d - d2) > tol
-                    )
+                for b in compress(carrier, map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
+                    return a, a2, b
                 passed.add((id_a, id_a2))
     return None
 

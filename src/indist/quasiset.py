@@ -119,15 +119,18 @@ class Universe:
                 if name in self.atoms or name in self.qsets:
                     raise MalformedUniverse(f"duplicate term name {name!r}")
                 self.qsets[name] = frozenset(members)
+        # One pass over the (qset, member) pairs checks every reference and
+        # records the qsets holding each macro-atom.  Macro-atoms with the same
+        # holders are ext-identical, so the holders key their signature below.
+        holders: dict[str, set] = {a.uid: set() for a in self.atoms.values() if a.kind == MACRO}
         for name, members in self.qsets.items():
             for m in members:
-                if m not in self.atoms and m not in self.qsets:
+                if m in holders:
+                    holders[m].add(name)
+                elif m not in self.atoms and m not in self.qsets:
                     raise MalformedUniverse(f"qset {name!r} references unknown term {m!r}")
+        self._macro_fingerprint = macro_keys = {m: frozenset(qs) for m, qs in holders.items()}
         order = self._members_first()
-
-        self._macro_fingerprint: dict[str, frozenset[str]] = {}
-        self._macro_rep: dict[str, str] = {}
-        self._index_macros()
 
         # Hash-consed signatures: each term gets a small int, equal exactly
         # when the hereditary species-count signatures are equal.  A qset's
@@ -136,7 +139,7 @@ class Universe:
         self._sig: dict[str, int] = {}
         self._classical: dict[str, bool] = {}
         for uid, atom in self.atoms.items():
-            key = ("m", atom.species) if atom.kind == MICRO else ("M", self._macro_rep[uid])
+            key = ("m", atom.species) if atom.kind == MICRO else ("M", macro_keys[uid])
             self._sig[uid] = self._ids.setdefault(key, len(self._ids))
             self._classical[uid] = atom.kind == MACRO
         for name in order:
@@ -175,22 +178,6 @@ class Universe:
                     state[name] = 2
                     order.append(name)
         return order
-
-    def _index_macros(self) -> None:
-        # Macro-atoms sharing exactly the same memberships are extensionally
-        # identical; they share one canonical representative so that
-        # indistinguishability never separates an ext-identical pair.
-        by_fingerprint: dict[frozenset[str], list[str]] = {}
-        for uid, atom in self.atoms.items():
-            if atom.kind != MACRO:
-                continue
-            fp = frozenset(name for name, members in self.qsets.items() if uid in members)
-            self._macro_fingerprint[uid] = fp
-            by_fingerprint.setdefault(fp, []).append(uid)
-        for group in by_fingerprint.values():
-            rep = min(group)
-            for uid in group:
-                self._macro_rep[uid] = rep
 
     def _collection_key(self, members: frozenset[str]) -> tuple:
         return ("q", tuple(sorted([self._sig[m] for m in members])))

@@ -469,6 +469,10 @@ def bad_inputs(tmp_path):
                     ("over_1e-7.pid", "1.0000001")):
         (tmp_path / name).write_text(f"sources: s1 s2\npid:\n  1.0 {v}\n  {v} 1.0\n")
     (tmp_path / "no_names.pid").write_text("# no names\n\nsources:\npid:\n  1.0\n")
+    (tmp_path / "short_row.pid").write_text("# c\nsources: a b\npid:\n  1.0 0.5\n\n  0.5\n")
+    (tmp_path / "no_rows.pid").write_text("sources: a b\npid:\n")
+    (tmp_path / "extra_row.pid").write_text("sources: a\npid:\n  1.0\n  1.0\n")
+    (tmp_path / "dup_species.univ").write_text("species: s\natoms:\n  a micro s\nspecies: s\n")
     return tmp_path
 
 
@@ -529,6 +533,11 @@ ERROR_PATHS = [
     ("decompose --rho11 1e-12 --rho22 0.999999999999 --rho12-re 1.4e-6", 2,
      "invalid density: positivity residual "),
     ("bridge {tmp}/no_names.pid", 2, "parse error at line 3, column 1: empty 'sources:' section\n"),
+    ("bridge {tmp}/short_row.pid", 2, "parse error at line 6, column 1: matrix must be 2x2\n"),
+    ("bridge {tmp}/no_rows.pid", 2, "parse error at line 2, column 1: matrix must be 2x2\n"),
+    ("bridge {tmp}/extra_row.pid", 2, "parse error at line 4, column 1: matrix must be 1x1\n"),
+    ("qset-check {tmp}/dup_species.univ", 2,
+     "parse error at line 4, column 10: duplicate species label 's'\n"),
 ]
 
 

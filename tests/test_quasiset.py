@@ -1,5 +1,6 @@
 """Finite-model semantics: indistinguishability, identity, and the axioms."""
 
+import time
 from random import Random
 
 import pytest
@@ -331,6 +332,19 @@ class TestUniverseConstruction:
     def test_unknown_member(self):
         with pytest.raises(MalformedUniverse):
             Universe(qsets={"x": ["nothing"]})
+
+    def test_many_macros_build_in_one_membership_pass(self):
+        # Each macro's holders come from one pass over the memberships, not
+        # from a scan of every qset per macro.
+        n = 20_000
+        atoms = [Atom(f"M{i}", MACRO) for i in range(n)]
+        qsets = {f"q{i}": [f"M{i}", f"M{(i + 1) % n}"] for i in range(n)}
+        started = time.process_time()
+        u = Universe(atoms=atoms, qsets=qsets)
+        elapsed = time.process_time() - started
+        assert elapsed < 5.0, f"Universe with {n} macros took {elapsed:.2f} s"
+        assert u.macro_fingerprint("M0") == {"q0", f"q{n - 1}"}
+        assert indist_class(u, "M0") == {"M0"}
 
     def test_cycle_rejected(self):
         with pytest.raises(MalformedUniverse):

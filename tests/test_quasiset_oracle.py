@@ -249,3 +249,58 @@ def test_indist_and_classes_survive_relabeling():
             name_map[t] for t in indist_class(u, anonymous)
         )
         assert indist_class(u3, anonymous) == indist_class(u, anonymous)
+
+
+@st.composite
+def macro_heavy_universes(draw):
+    """Up to 12 macro-atoms, each placed by one of a few holder patterns, in nested qsets.
+
+    Sharing patterns makes extensionally identical macros common; qsets may
+    also hold micro-atoms and earlier qsets.
+    """
+    n_qsets = draw(st.integers(0, 6))
+    patterns = draw(st.lists(st.frozensets(st.integers(0, max(n_qsets - 1, 0))),
+                             min_size=1, max_size=4))
+    macros = [f"M{i}" for i in range(draw(st.integers(1, 12)))]
+    holders = {m: draw(st.sampled_from(patterns)) for m in macros}
+    micros = [f"m{i}" for i in range(draw(st.integers(0, 3)))]
+    qsets = {}
+    for j in range(n_qsets):
+        members = [m for m in macros if j in holders[m]]
+        pool = micros + list(qsets)
+        if pool:
+            members += draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        qsets[f"q{j}"] = members
+    atoms = [Atom(m, MICRO, "sp") for m in micros] + [Atom(m, MACRO) for m in macros]
+    return Universe(species=["sp"], atoms=atoms, qsets=qsets)
+
+
+def membership_holders(u, uid):
+    """The qsets of u that hold uid, read straight from u.qsets."""
+    return frozenset(name for name, members in u.qsets.items() if uid in members)
+
+
+def membership_signature(u, x):
+    """Nested-tuple signature with each macro keyed by its holders read from u.qsets."""
+    if x in u.atoms:
+        atom = u.atoms[x]
+        return ("m", atom.species) if atom.kind == MICRO else ("M", membership_holders(u, x))
+    return ("q", frozenset(Counter(membership_signature(u, m) for m in u.qsets[x]).items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=macro_heavy_universes())
+def test_macros_match_membership_definition(u):
+    macros = [uid for uid in u.atoms if u.is_macro(uid)]
+    for a in macros:
+        assert u.macro_fingerprint(a) == membership_holders(u, a)
+        same = {b for b in macros if membership_holders(u, a) == membership_holders(u, b)}
+        assert indist_class(u, a) == same
+        for b in macros:
+            expected = membership_holders(u, a) == membership_holders(u, b)
+            assert ext_identity(u, a, b) == expected
+            assert indist(u, a, b) == expected
+    terms = u.terms()
+    for s in terms:
+        for t in terms:
+            assert indist(u, s, t) == (membership_signature(u, s) == membership_signature(u, t))
