@@ -96,9 +96,8 @@ def parse_universe(text: str) -> quasiset.Universe:
 
     species: set[str] = set()
     atoms: list[quasiset.Atom] = []
-    atom_names: set[str] = set()
     qsets: dict[str, list[str]] = {}
-    qset_lines: dict[str, int] = {}
+    lines: dict[str, int] = {}  # the line of every atom and qset entry
     section = None
 
     for lineno, line in _content_lines(text):
@@ -134,12 +133,11 @@ def parse_universe(text: str) -> quasiset.Universe:
                 raise ParseError(
                     "atom entry must be '<name> micro <species>' or '<name> macro'", lineno
                 )
-            if name in atom_names or name in qsets:
+            if name in lines:
                 raise ParseError(f"duplicate name {name!r}", lineno, columns[0])
             if sp is not None and sp not in species:
                 raise ParseError(f"unregistered species {sp!r}", lineno, columns[2])
             atoms.append(quasiset.Atom(name, fields[1], sp))
-            atom_names.add(name)
         else:  # qsets
             if "=" not in stripped:
                 raise ParseError("qset entry must be '<name> = <members...>'", lineno)
@@ -147,22 +145,16 @@ def parse_universe(text: str) -> quasiset.Universe:
             name = name_part.strip()
             if not name or len(name.split()) != 1:
                 raise ParseError("qset entry must be '<name> = <members...>'", lineno)
-            if name in qsets or name in atom_names:
+            if name in lines:
                 raise ParseError(f"duplicate name {name!r}", lineno, columns[0])
-            members = members_part.split()
-            qsets[name] = members
-            qset_lines[name] = lineno
+            qsets[name] = members_part.split()
+        lines[name] = lineno
 
-    known = atom_names | set(qsets)
-    for name, members in qsets.items():
-        for m in members:
-            if m not in known:
-                raise ParseError(f"qset {name!r} references unknown term {m!r}", qset_lines[name])
-
+    # Universe checks member references and cycles; report them at the entry's line.
     try:
         return quasiset.Universe(species=species, atoms=atoms, qsets=qsets)
     except quasiset.MalformedUniverse as exc:
-        raise ParseError(str(exc), 1) from exc
+        raise ParseError(str(exc), lines[exc.term]) from exc
 
 
 def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
@@ -262,7 +254,7 @@ def _valid_density(args) -> onephoton.DensityOperator2:
 def _read(path: str, what: str, parse):
     """Read a UTF-8 input file and parse it; any failure exits 2."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliExit(EXIT_INVALID_INPUT, f"cannot read {what} file: {exc}") from None

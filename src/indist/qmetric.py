@@ -34,7 +34,7 @@ answers whether the physical numbers actually form one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, gt, sub
@@ -123,7 +123,7 @@ class DifferentiationSpace:
 
     base: QuasiMetricSpace
     universe: Universe
-    axiom_reports: tuple[AxiomReport, ...] = field(default_factory=tuple)
+    axiom_reports: tuple[AxiomReport, ...] = ()
     tol: float = DEFAULT_TOL
 
     @property
@@ -308,7 +308,8 @@ def from_pid_table(
     if n == 0:
         raise MalformedTable("no sources")
     if len(set(names)) != n:
-        raise MalformedTable("duplicate source names")
+        repeated = next(a for i, a in enumerate(names) if names.index(a) != i)
+        raise MalformedTable(f"duplicate source name {repeated!r}")
     if len(pid) != n or any(len(row) != n for row in pid):
         raise MalformedTable(f"table must be {n}x{n}")
 

@@ -56,7 +56,11 @@ class PreconditionViolated(ValueError):
 
 
 class MalformedUniverse(ValueError):
-    """Universe description is internally inconsistent."""
+    """Universe description is internally inconsistent; ``term`` names the faulty entry."""
+
+    def __init__(self, message: str, term: str):
+        super().__init__(message)
+        self.term = term
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,11 @@ class Atom:
 
     def __post_init__(self) -> None:
         if self.kind not in (MICRO, MACRO):
-            raise MalformedUniverse(f"atom {self.uid!r} has unknown kind {self.kind!r}")
+            raise MalformedUniverse(f"atom {self.uid!r} has unknown kind {self.kind!r}", self.uid)
         if self.kind == MICRO and self.species is None:
-            raise MalformedUniverse(f"micro-atom {self.uid!r} needs a species")
+            raise MalformedUniverse(f"micro-atom {self.uid!r} needs a species", self.uid)
         if self.kind == MACRO and self.species is not None:
-            raise MalformedUniverse(f"macro-atom {self.uid!r} must not carry a species")
+            raise MalformedUniverse(f"macro-atom {self.uid!r} must not carry a species", self.uid)
 
 
 @dataclass(frozen=True)
@@ -106,31 +110,32 @@ class Universe:
         self.atoms: dict[str, Atom] = {}
         for atom in atoms:
             if atom.uid in self.atoms:
-                raise MalformedUniverse(f"duplicate atom uid {atom.uid!r}")
+                raise MalformedUniverse(f"duplicate atom uid {atom.uid!r}", atom.uid)
             if atom.kind == MICRO and atom.species not in self.species:
                 raise MalformedUniverse(
-                    f"micro-atom {atom.uid!r} has unregistered species {atom.species!r}"
+                    f"micro-atom {atom.uid!r} has unregistered species {atom.species!r}", atom.uid
                 )
             self.atoms[atom.uid] = atom
 
+        # Listed member order makes the errors below independent of the hash seed.
+        listed = {name: tuple(members) for name, members in (qsets or {}).items()}
         self.qsets: dict[str, frozenset[str]] = {}
-        if qsets:
-            for name, members in qsets.items():
-                if name in self.atoms or name in self.qsets:
-                    raise MalformedUniverse(f"duplicate term name {name!r}")
-                self.qsets[name] = frozenset(members)
+        for name, members in listed.items():
+            if name in self.atoms:
+                raise MalformedUniverse(f"duplicate term name {name!r}", name)
+            self.qsets[name] = frozenset(members)
         # One pass over the (qset, member) pairs checks every reference and
         # records the qsets holding each macro-atom.  Macro-atoms with the same
         # holders are ext-identical, so the holders key their signature below.
         holders: dict[str, set] = {a.uid: set() for a in self.atoms.values() if a.kind == MACRO}
-        for name, members in self.qsets.items():
+        for name, members in listed.items():
             for m in members:
                 if m in holders:
                     holders[m].add(name)
                 elif m not in self.atoms and m not in self.qsets:
-                    raise MalformedUniverse(f"qset {name!r} references unknown term {m!r}")
+                    raise MalformedUniverse(f"qset {name!r} references unknown term {m!r}", name)
         self._macro_fingerprint = macro_keys = {m: frozenset(qs) for m, qs in holders.items()}
-        order = self._members_first()
+        order = self._members_first(listed)
 
         # Hash-consed signatures: each term gets a small int, equal exactly
         # when the hereditary species-count signatures are equal.  A qset's
@@ -152,26 +157,27 @@ class Universe:
             classes.setdefault(sig, []).append(name)
         self._classes = {sig: frozenset(names) for sig, names in classes.items()}
 
-    def _members_first(self) -> list[str]:
+    @staticmethod
+    def _members_first(listed: dict[str, tuple[str, ...]]) -> list[str]:
         """Qset names, members before containers, by an iterative DFS that rejects cycles."""
         state: dict[str, int] = {}  # 1 on the stack, 2 done
         order: list[str] = []
-        for root in self.qsets:
+        for root in listed:
             if root in state:
                 continue
             state[root] = 1
-            stack = [(root, iter(self.qsets[root]))]
+            stack = [(root, iter(listed[root]))]
             while stack:
                 name, members = stack[-1]
                 for m in members:
-                    if m not in self.qsets or state.get(m) == 2:
+                    if m not in listed or state.get(m) == 2:
                         continue
                     if state.get(m) == 1:
                         raise MalformedUniverse(
-                            f"qset {m!r} contains itself (directly or transitively)"
+                            f"qset {m!r} contains itself (directly or transitively)", m
                         )
                     state[m] = 1
-                    stack.append((m, iter(self.qsets[m])))
+                    stack.append((m, iter(listed[m])))
                     break
                 else:
                     stack.pop()

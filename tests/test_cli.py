@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -473,6 +474,12 @@ def bad_inputs(tmp_path):
     (tmp_path / "no_rows.pid").write_text("sources: a b\npid:\n")
     (tmp_path / "extra_row.pid").write_text("sources: a\npid:\n  1.0\n  1.0\n")
     (tmp_path / "dup_species.univ").write_text("species: s\natoms:\n  a micro s\nspecies: s\n")
+    universe = "species: s\natoms:\n  a micro s\n  b micro s\nqsets:\n"
+    (tmp_path / "cycle.univ").write_text(universe + "  x = a y\n  y = x\n")
+    # In frozenset order the cycle below was named 'q' or 'r' by hash seed.
+    (tmp_path / "cycle3.univ").write_text(universe + "  x = q r\n  q = r\n  r = q\n")
+    (tmp_path / "unknowns.univ").write_text(universe + "  w = a\n  x = a r q p\n")
+    (tmp_path / "dup_source.pid").write_text("sources: a a\npid:\n  1.0 1.0\n  1.0 1.0\n")
     return tmp_path
 
 
@@ -538,6 +545,11 @@ ERROR_PATHS = [
     ("bridge {tmp}/extra_row.pid", 2, "parse error at line 4, column 1: matrix must be 1x1\n"),
     ("qset-check {tmp}/dup_species.univ", 2,
      "parse error at line 4, column 10: duplicate species label 's'\n"),
+    ("qset-check {tmp}/cycle.univ", 2,
+     "parse error at line 6, column 1: qset 'x' contains itself (directly or transitively)\n"),
+    ("qset-check {tmp}/unknowns.univ", 2,
+     "parse error at line 7, column 1: qset 'x' references unknown term 'r'\n"),
+    ("bridge {tmp}/dup_source.pid", 2, "malformed table: duplicate source name 'a'\n"),
 ]
 
 
@@ -554,6 +566,42 @@ class TestErrorPaths:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(prefix)
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("command,data,golden", [
+        ("qset-check", "three_photons.univ", "qset_check_three_photons.json"),
+        ("bridge", "bridge_clean.pid", "bridge_clean.json"),
+    ])
+    def test_bom_prefixed_input_matches_golden(self, tmp_path, command, data, golden):
+        path = tmp_path / data
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / data).read_bytes())
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main([command, str(path)], stdout=out, stderr=err) == 0
+        assert err.getvalue() == ""
+        assert out.getvalue() == (GOLDEN / golden).read_text()
+
+
+class TestHashSeedDeterminism:
+    """Exit code, stdout and stderr do not depend on the string hash seed."""
+
+    @pytest.mark.parametrize("argv", [
+        "qset-check {data}/three_photons.univ",
+        "bridge {data}/bridge_clean.pid",
+        "bridge {data}/bridge_groups.pid",
+        "bridge {data}/bridge_qm6.pid",
+        "qset-check {tmp}/cycle.univ",
+        "qset-check {tmp}/cycle3.univ",
+        "qset-check {tmp}/unknowns.univ",
+    ], ids=lambda argv: argv.split("/")[-1])
+    def test_same_result_under_two_seeds(self, bad_inputs, argv):
+        args = [sys.executable, "-m", "indist", *argv.format(tmp=bad_inputs, data=DATA).split()]
+        results = []
+        for seed in ("0", "1"):
+            cp = subprocess.run(args, capture_output=True, text=True,
+                                env={**os.environ, "PYTHONHASHSEED": seed})
+            results.append((cp.returncode, cp.stdout, cp.stderr))
+        assert results[0] == results[1]
 
 
 FUZZ_TOKENS = ("species:", "atoms:", "qsets:", "sources:", "pid:", "a", "b", "x", "photon",

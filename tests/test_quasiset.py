@@ -358,6 +358,37 @@ class TestUniverseConstruction:
         with pytest.raises(MalformedUniverse):
             Atom("a", MACRO, "photon")  # species forbidden
 
+    @pytest.mark.parametrize("build,term", [
+        (lambda: Atom("a", "meso"), "a"),
+        (lambda: Atom("a", MICRO), "a"),
+        (lambda: Atom("a", MACRO, "photon"), "a"),
+        (lambda: Universe(species=["s"], atoms=[Atom("a", MICRO, "s")] * 2), "a"),
+        (lambda: Universe(atoms=[Atom("a", MICRO, "ghost")]), "a"),
+        (lambda: Universe(atoms=[Atom("a", MACRO)], qsets={"a": []}), "a"),
+        (lambda: Universe(atoms=[Atom("a", MACRO)], qsets={"w": ["a"], "x": ["b"]}), "x"),
+        (lambda: Universe(qsets={"w": [], "x": ["w", "x"]}), "x"),
+    ], ids=["kind", "no-species", "macro-species", "duplicate-atom", "unregistered-species",
+            "duplicate-name", "unknown-member", "cycle"])
+    def test_error_names_the_faulty_entry(self, build, term):
+        with pytest.raises(MalformedUniverse) as info:
+            build()
+        assert info.value.term == term
+
+    def test_unknown_member_is_the_first_listed(self):
+        with pytest.raises(MalformedUniverse) as info:
+            Universe(qsets={"x": ["p", "q", "r"]})
+        assert str(info.value) == "qset 'x' references unknown term 'p'"
+        with pytest.raises(MalformedUniverse) as info:
+            Universe(atoms=[Atom("M", MACRO)], qsets={"w": ["M"], "x": ["M", "r", "q", "p"]})
+        assert str(info.value) == "qset 'x' references unknown term 'r'"
+
+    def test_cycle_is_named_in_listed_order(self):
+        # The walk starts at x and follows q before r, so it re-enters q first.
+        with pytest.raises(MalformedUniverse) as info:
+            Universe(qsets={"x": ["q", "r"], "q": ["r"], "r": ["q"]})
+        assert str(info.value) == "qset 'q' contains itself (directly or transitively)"
+        assert info.value.term == "q"
+
 
 class TestClassicalFlag:
     def test_no_micro_content(self, mixed):
