@@ -39,11 +39,11 @@ Degree table::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from itertools import combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from . import __version__, onephoton
@@ -211,9 +211,69 @@ def _jsonable(value):
 
 
 def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, str]:
+    from json.encoder import encode_basestring_ascii  # here, so CSV runs load no json
     report = {"command": args.command, "version": __version__,
               "inputs": inputs, "outputs": outputs, "status": status}
-    return status, json.dumps(report, indent=2) + "\n"
+    return status, "".join(_json_chunks(report, encode_basestring_ascii)) + "\n"
+
+
+def _floats(values, sep: str) -> str:
+    """Join float reprs by sep, spelled as json spells them: only nan and inf hold an 'n'."""
+    text = sep.join(map(float.__repr__, values))
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _scalar(value, esc) -> str:
+    if isinstance(value, str):
+        return esc(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return int.__repr__(value) if isinstance(value, int) else _floats((value,), "")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalars(values, esc) -> Optional[list[str]]:
+    """The JSON text of each value, or None if one of them is a list, tuple or dict."""
+    types = set(map(type, values))
+    if types == {float}:
+        return _floats(values, "\n").split("\n")
+    if any(issubclass(t, (list, tuple, dict)) for t in types):
+        return None
+    return list(map(esc, values)) if types == {str} else [_scalar(v, esc) for v in values]
+
+
+def _json_chunks(value, esc, pad: str = ""):
+    """Yield value as the json module writes it with indent=2, in pieces, nested at pad.
+
+    Lists of scalars and of same-keyed flat dicts are joined in C, not item by item."""
+    if not isinstance(value, (list, tuple, dict)):
+        yield _scalar(value, esc)
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        brackets, items = "{}", ((esc(key) + ": ", item) for key, item in value.items())
+    else:
+        texts = _scalars(value, esc)
+        keys = set(map(tuple, value)) if set(map(type, value)) == {dict} else ()
+        if len(keys) == 1:
+            names = keys.pop()
+            cols = [_scalars(list(map(itemgetter(name), value)), esc) for name in names]
+            if cols and None not in cols:  # one %-template for every row
+                slots = (esc(name).replace("%", "%%") + ": %s" for name in names)
+                row = "{\n" + inner + "  " + (sep + "  ").join(slots) + "\n" + inner + "}"
+                texts = list(map(row.__mod__, zip(*cols)))
+        if texts:
+            yield "[\n" + inner + sep.join(texts) + "\n" + pad + "]"
+            return
+        brackets, items = "[]", (("", item) for item in value)
+    head = brackets[0] + "\n" + inner
+    for key, item in items:
+        yield head + key
+        yield from _json_chunks(item, esc, inner)
+        head = sep
+    yield "\n" + pad + brackets[1] if value else brackets
 
 
 def _csv(lines: list[str]) -> tuple[int, str]:

@@ -226,7 +226,10 @@ def _members(u: Universe, x: Term) -> frozenset[str]:
     ms = frozenset(x)
     for m in ms:
         if not isinstance(m, str) or m not in u:
-            raise UnknownTerm(f"unknown term {m!r} in anonymous qset")
+            # Name the first unknown in the caller's order, or the least one of a set.
+            order = x if isinstance(x, (list, tuple)) else sorted(ms, key=repr)
+            bad = next(t for t in order if not isinstance(t, str) or t not in u)
+            raise UnknownTerm(f"unknown term {bad!r} in anonymous qset")
     return ms
 
 

@@ -436,6 +436,83 @@ class TestLeanStart:
         assert cp.stderr == "[]"
 
 
+# Writes to stderr which json modules running argv newly imports.
+NO_JSON_CHILD = """
+import sys
+from io import StringIO
+before = set(sys.modules)
+from indist.cli import main
+try:
+    main(sys.argv[1:], stdout=StringIO())
+except SystemExit:  # --version exits through argparse
+    pass
+sys.stderr.write(repr(sorted(m for m in set(sys.modules) - before if m.startswith("json"))))
+"""
+
+
+class TestCsvStartLoadsNoJson:
+    @pytest.mark.parametrize("argv", [
+        ("--version",),
+        (*FRINGES_EXAMPLE, "--output", "csv"),
+        ("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", "5", "--output", "csv"),
+    ], ids=lambda argv: argv[0])
+    def test_no_json_module(self, argv):
+        cp = subprocess.run([sys.executable, "-c", NO_JSON_CHILD, *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == "[]"
+
+
+# Quote, backslash, %, control, non-ASCII, lone-surrogate and astral characters.
+json_text = st.text(
+    st.characters() | st.sampled_from('"\\%\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), max_size=6)
+json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+json_scalars = st.none() | st.booleans() | st.integers() | json_floats | json_text
+
+
+@st.composite
+def same_keyed_dicts(draw, values):
+    """Dicts sharing their keys; the last may list them in another order."""
+    keys = draw(st.lists(json_text, min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.lists(values, min_size=len(keys), max_size=len(keys)),
+                         min_size=1, max_size=4))
+    last = draw(st.permutations(keys))
+    return [dict(zip(keys, row)) for row in rows[:-1]] + [dict(zip(last, rows[-1]))]
+
+
+json_values = st.recursive(
+    json_scalars | st.lists(json_floats, max_size=6),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(json_text, children, max_size=4)
+                      | same_keyed_dicts(json_scalars | children)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """The report writer prints exactly what json.dumps(value, indent=2) prints."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(report=st.dictionaries(json_text, json_values, max_size=5))
+    def test_matches_json_dumps(self, report):
+        from json.encoder import encode_basestring_ascii
+        assert "".join(cli._json_chunks(report, encode_basestring_ascii)) == \
+            json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [-0.0, 5e-324, math.nan, math.inf, -math.inf, 1e300],
+        [True, 1, 1.0, False, 0, None],
+        [{"a": 1.0, "%s": "%"}, {"a": math.nan, "%s": "\u00e9"}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1, "b": 2}, {"a": [1.0], "b": {}}],
+        [{}, {}, [], ()],
+    ], ids=["floats", "bools", "percent-keys", "key-order", "nested", "empty"])
+    def test_named_cases(self, value):
+        from json.encoder import encode_basestring_ascii
+        report = {"k": value, "\u00e9\"\\": (value,)}
+        assert "".join(cli._json_chunks(report, encode_basestring_ascii)) == \
+            json.dumps(report, indent=2)
+
+
 class TestMoreGoldenFiles:
     @pytest.mark.parametrize("argv,code,golden", [
         ((*DECOMPOSE_EXAMPLE, "--output", "csv"), 0, "decompose_064.csv"),
@@ -448,6 +525,8 @@ class TestMoreGoldenFiles:
         (("bridge", str(DATA / "bridge_qm6.pid")), 4, "bridge_qm6.json"),
         # Repeated rows: congruence fails at (b1, b3) after (a1, a2) and (b1, b2) pass.
         (("bridge", str(DATA / "bridge_groups.pid")), 4, "bridge_groups.json"),
+        # Source names that JSON must escape: non-ASCII, '"', '\\' and '%'.
+        (("bridge", str(DATA / "bridge_escapes.pid")), 0, "bridge_escapes.json"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_output_bytes(self, argv, code, golden):
         cp = run_cli(*argv)

@@ -1,5 +1,8 @@
 """Finite-model semantics: indistinguishability, identity, and the axioms."""
 
+import os
+import subprocess
+import sys
 import time
 from random import Random
 
@@ -456,3 +459,26 @@ class TestDeepNesting:
         qsets = {f"q{i}": [f"q{(i + 1) % self.DEPTH}"] for i in range(self.DEPTH)}
         with pytest.raises(MalformedUniverse, match="contains itself"):
             Universe(qsets=qsets)
+
+
+# Prints the error for an anonymous qset with three unknown members, given as
+# a list in caller's order and as a set.
+ANONYMOUS_UNKNOWNS_CHILD = """
+from indist.quasiset import Universe, UnknownTerm, indist
+for members in (["r", "q", "p"], {"p", "q", "r"}):
+    try:
+        indist(Universe(qsets={"x": []}), members, "x")
+    except UnknownTerm as exc:
+        print(exc)
+"""
+
+
+class TestAnonymousQsetHashSeed:
+    def test_unknown_member_named_the_same_under_two_seeds(self):
+        outputs = [subprocess.run([sys.executable, "-c", ANONYMOUS_UNKNOWNS_CHILD],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                   for seed in ("0", "1")]
+        # The first unknown in the list's order; the least one of the set.
+        assert outputs == ["unknown term 'r' in anonymous qset\n"
+                           "unknown term 'p' in anonymous qset\n"] * 2
