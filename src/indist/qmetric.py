@@ -72,14 +72,32 @@ class OutOfRange(ValueError):
     """Heyting operand outside the [0, 1] interval."""
 
 
+class _RowTable(Mapping):
+    """Read-only pair-keyed view of a row matrix: ``view[a, b]`` is ``rows[i][j]``."""
+
+    def __init__(self, carrier: tuple[str, ...], rows: tuple[tuple[float, ...], ...]):
+        self.rows = rows
+        self.index = {name: i for i, name in enumerate(carrier)}
+
+    def __getitem__(self, pair: tuple[str, str]) -> float:
+        a, b = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, pair)
+        return self.rows[self.index[a]][self.index[b]]
+
+    def __iter__(self):
+        return ((a, b) for a in self.index for b in self.index)
+
+    def __len__(self) -> int:
+        return len(self.index) ** 2
+
+
 @dataclass(frozen=True)
 class QuasiMetricSpace:
     """Carrier terms plus a distance table indexed by ordered pairs.
 
     The table may violate any of QM1-QM6; :func:`verify_qm_axioms` is the
     judge, not the constructor.  The checks read the table through
-    :attr:`rows`, a dense matrix indexed by carrier position that is built
-    once on first use.
+    :attr:`rows`, a dense matrix indexed by carrier position, built once on
+    first use; :func:`from_pid_table` keeps only that matrix, behind a view.
     """
 
     carrier: tuple[str, ...]
@@ -94,15 +112,11 @@ class QuasiMetricSpace:
     def rows(self) -> tuple[tuple[float, ...], ...]:
         """Row-major matrix with ``rows[i][j] = d(carrier[i], carrier[j])``.
 
-        Raises IncompleteTable naming the first missing pair in row-major
-        order.
+        Raises IncompleteTable naming the first missing pair in row-major order.
         """
-        carrier, table = self.carrier, self.distances
-        try:
-            return tuple(tuple([table[(a, b)] for b in carrier]) for a in carrier)
-        except KeyError:
-            a, b = next((a, b) for a in carrier for b in carrier if (a, b) not in table)
-            raise IncompleteTable(f"no distance entry for ({a!r}, {b!r})") from None
+        if isinstance(self.distances, _RowTable):
+            return self.distances.rows
+        return tuple(tuple([self.distance(a, b) for b in self.carrier]) for a in self.carrier)
 
     def distance(self, a: str, b: str) -> float:
         if a not in self.index or b not in self.index:
@@ -248,15 +262,10 @@ def differentiation_space(
     tol: float = DEFAULT_TOL,
 ) -> DifferentiationSpace:
     """Wrap a [0,1]-valued space together with its verified axiom reports."""
-    carrier = base.carrier
-    try:
-        rows = base.rows
-    except IncompleteTable:
-        # Scan lazily so an out-of-range entry ahead of the first missing
-        # pair (row-major) is the error reported.
-        rows = ((base.distance(a, b) for b in carrier) for a in carrier)
-    for a, row in zip(carrier, rows):
-        for b, d in zip(carrier, row):
+    # Row-major, so an out-of-range entry ahead of the first missing pair is reported.
+    for a in base.carrier:
+        for b in base.carrier:
+            d = base.distance(a, b)
             if math.isfinite(d) and not (-tol <= d <= 1.0 + tol):
                 raise OutOfRange(f"distance d({a!r}, {b!r}) = {d!r} outside [0, 1]")
     reports = tuple(verify_qm_axioms(base, universe, tol=tol))
@@ -295,13 +304,12 @@ def from_pid_table(
     """Build a differentiation space from pairwise indistinguishability degrees.
 
     ``pid`` must be symmetric with unit diagonal, and each degree v and its
-    distance d = 1 - v must lie in [0, 1].  Each source is assigned to a
-    species by the transitive closure of the zero-distance pairs, so species
-    equality can only match d = 0 when those pairs already form an
-    equivalence; a "zero-transitivity" report (with a witnessing chain) plus
-    the QM axiom reports convey any failure.  Nothing beyond table shape
-    raises: whether physical degree tables form such spaces is exactly the
-    question the report answers.
+    distance d = 1 - v must lie in [0, 1], within ``tol``; any other table,
+    or a repeated source name, raises MalformedTable.  A source's species is
+    its class under the transitive closure of the zero-distance pairs, so
+    species equality matches d = 0 only when those pairs form an equivalence;
+    a "zero-transitivity" report (with a witnessing chain) and the QM axiom
+    reports answer whether the physical degrees form such a space.
     """
     names = list(sources)
     n = len(names)
@@ -313,18 +321,19 @@ def from_pid_table(
     if len(pid) != n or any(len(row) != n for row in pid):
         raise MalformedTable(f"table must be {n}x{n}")
 
-    # One row-major pass checks each entry, stores its distance and collects
-    # the zero-distance graph; symmetry is checked at the upper entry of a pair.
+    # One row-major pass checks each entry by differentiation_space's range rule, builds the
+    # distance rows and the zero-distance graph; symmetry is checked at a pair's upper entry.
     hi = 1.0 + tol
-    distances: dict[tuple[str, str], float] = {}
+    rows: list[tuple[float, ...]] = []
     adjacency: dict[str, list[str]] = {name: [] for name in names}
     for i, (a, row) in enumerate(zip(names, pid)):
+        d_row: list[float] = []
         for j, (b, v) in enumerate(zip(names, row)):
             v = float(v)
             d = 1.0 - v
             if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
                 raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
-            distances[a, b] = d
+            d_row.append(d)
             if j > i:
                 if abs(v - pid[j][i]) > tol:
                     raise MalformedTable(f"asymmetry at ({i}, {j})")
@@ -333,6 +342,8 @@ def from_pid_table(
                     adjacency[b].append(a)
         if abs(row[i] - 1.0) > tol:
             raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
+        rows.append(tuple(d_row))
+    base = QuasiMetricSpace(tuple(names), _RowTable(tuple(names), tuple(rows)))
 
     # Species = connected components of the zero-distance graph, each
     # labelled by its least name; members are listed in source order.
@@ -346,8 +357,8 @@ def from_pid_table(
 
     # A witness is a zero-distance chain whose endpoints are a positive
     # distance apart; replaying the chain against the table re-derives it.
-    breach = next(((a, b) for a in names for b in members[species_of[a]]
-                   if a < b and distances[a, b] > tol), None)
+    breach = next(((a, b) for a, row in zip(names, base.rows) for b in members[species_of[a]]
+                   if a < b and row[base.index[b]] > tol), None)
     chain = None
     if breach is not None:
         start, goal = breach
@@ -359,9 +370,8 @@ def from_pid_table(
 
     universe = Universe(species=sorted(members),
                         atoms=[Atom(name, MICRO, species_of[name]) for name in names])
-    base = QuasiMetricSpace(carrier=tuple(names), distances=distances)
-    space = differentiation_space(base, universe, tol=tol)
-    return space, [zero_report] + list(space.axiom_reports)
+    reports = tuple(verify_qm_axioms(base, universe, tol=tol))
+    return DifferentiationSpace(base, universe, reports, tol), [zero_report, *reports]
 
 
 def _zero_tree(adjacency: Mapping[str, Sequence[str]], start: str) -> dict[str, str]:

@@ -1,6 +1,9 @@
 """Quasi-metric axiom checking, degrees, the bridge, and Heyting operations."""
 
+import gc
 import math
+import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -382,3 +385,68 @@ class TestSemanticValues:
         assert value == pytest.approx(0.5, abs=1e-12)
         # (x = y) and not (x = y) evaluates to min(r, 0) = 0.
         assert heyting_meet(value, heyting_not(value)) == 0.0
+
+
+def _grouped_line_table(n: int, groups: int = 12):
+    """n sources in equal groups at multiples of 1/16 on a line: every d is exact."""
+    position = [(i * groups // n) / 16 for i in range(n)]
+    pid = [[1.0 - abs(p - q) for q in position] for p in position]
+    return [f"s{i:03d}" for i in range(n)], pid
+
+
+class TestBridgeSpaceStorage:
+    """A bridge space keeps its distances once, as rows behind a read-only pair view."""
+
+    def test_view_reads_the_rows_as_the_former_pair_table(self):
+        names, pid = _grouped_line_table(7, groups=3)
+        space, _ = from_pid_table(names, pid)
+        view, rows = space.base.distances, space.base.rows
+        pairs = {(a, b): 1.0 - v for a, row in zip(names, pid) for b, v in zip(names, row)}
+        assert list(dict(view).items()) == list(pairs.items())
+        assert len(view) == 49
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                assert view[a, b] is rows[i][j]
+        assert space.base.rows is rows
+
+    def test_view_rejects_pairs_outside_the_carrier(self):
+        space, _ = from_pid_table(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
+        view = space.base.distances
+        for key in [("a", "zz"), ("zz", "a"), "ab", ("a", "b", "a"), ("a",)]:
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+        with pytest.raises(TypeError):
+            view["a", "b"] = 0.0
+        with pytest.raises(NotInCarrier):
+            space.base.distance("a", "zz")
+
+    def test_user_dict_space_is_unchanged(self):
+        d = {("a", "a"): 0.0, ("a", "b"): 0.25, ("b", "a"): 0.25, ("b", "b"): 0.0}
+        space = QuasiMetricSpace(("a", "b"), d)
+        assert space.distances is d
+        assert space.rows == ((0.0, 0.25), (0.25, 0.0))
+        assert space.distance("b", "a") == 0.25
+        del d[("b", "a")]
+        with pytest.raises(IncompleteTable, match=r"^no distance entry for \('b', 'a'\)$"):
+            QuasiMetricSpace(("a", "b"), d).rows
+        with pytest.raises(IncompleteTable, match=r"^no distance entry for \('b', 'a'\)$"):
+            space.distance("b", "a")
+
+    def test_result_keeps_little_beyond_its_rows(self):
+        names, pid = _grouped_line_table(150)
+        from_pid_table(*_grouped_line_table(12))  # first-call allocations stay out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = from_pid_table(names, pid)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = result[0].base.rows
+        floats = {id(d): d for row in rows for d in row}.values()
+        row_bytes = (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+                     + sum(map(sys.getsizeof, floats)))
+        assert kept <= 2 * row_bytes, (kept, row_bytes)

@@ -4,6 +4,9 @@
 the triple-loop implementations the row-matrix code replaced, kept verbatim
 as oracles: reports, counterexamples and raised errors must agree exactly,
 including on NaN, infinite, negative and tolerance-edge entries.
+``reference_from_pid_table`` is the bridge that stored a pair-keyed
+distance dict and ran the range scan a second time; the row-matrix bridge
+must match its reports, species, distances (bit for bit) and errors.
 """
 
 import math
@@ -13,10 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from indist.qmetric import (
     DEFAULT_TOL,
+    DifferentiationSpace,
     IncompleteTable,
+    MalformedTable,
     OutOfRange,
     QuasiMetricSpace,
     differentiation_space,
+    from_pid_table,
     verify_qm_axioms,
 )
 from indist.quasiset import MICRO, Atom, AxiomReport, Universe, indist
@@ -295,3 +301,180 @@ def test_repeated_rows_match_reference(case, uid):
     assert verify_qm_axioms(space, universe, tol=tol, relation=relation) == (
         reference_verify_qm_axioms(space, universe, tol=tol, relation=relation)
     )
+
+
+def reference_from_pid_table(sources, pid, tol=DEFAULT_TOL):
+    # The former bridge, verbatim but for two names: it runs the frozen
+    # reference_differentiation_space and reference_zero_tree.
+    names = list(sources)
+    n = len(names)
+    if n == 0:
+        raise MalformedTable("no sources")
+    if len(set(names)) != n:
+        repeated = next(a for i, a in enumerate(names) if names.index(a) != i)
+        raise MalformedTable(f"duplicate source name {repeated!r}")
+    if len(pid) != n or any(len(row) != n for row in pid):
+        raise MalformedTable(f"table must be {n}x{n}")
+
+    hi = 1.0 + tol
+    distances = {}
+    adjacency = {name: [] for name in names}
+    for i, (a, row) in enumerate(zip(names, pid)):
+        for j, (b, v) in enumerate(zip(names, row)):
+            v = float(v)
+            d = 1.0 - v
+            if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
+                raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
+            distances[a, b] = d
+            if j > i:
+                if abs(v - pid[j][i]) > tol:
+                    raise MalformedTable(f"asymmetry at ({i}, {j})")
+                if d <= tol:
+                    adjacency[a].append(b)
+                    adjacency[b].append(a)
+        if abs(row[i] - 1.0) > tol:
+            raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
+
+    species_of = {}
+    members = {}
+    for name in names:
+        if name not in species_of:
+            component = reference_zero_tree(adjacency, name)
+            species_of.update(dict.fromkeys(component, min(component)))
+        members.setdefault(species_of[name], []).append(name)
+
+    breach = next(((a, b) for a in names for b in members[species_of[a]]
+                   if a < b and distances[a, b] > tol), None)
+    chain = None
+    if breach is not None:
+        start, goal = breach
+        tree = reference_zero_tree(adjacency, start)
+        chain = (goal,)
+        while chain[0] != start:
+            chain = (tree[chain[0]], *chain)
+    zero_report = AxiomReport("zero-transitivity", chain is None, chain)
+
+    universe = Universe(species=sorted(members),
+                        atoms=[Atom(name, MICRO, species_of[name]) for name in names])
+    base = QuasiMetricSpace(carrier=tuple(names), distances=distances)
+    reports = reference_differentiation_space(base, universe, tol=tol)
+    space = DifferentiationSpace(base=base, universe=universe, axiom_reports=reports, tol=tol)
+    return space, [zero_report] + list(space.axiom_reports)
+
+
+def reference_zero_tree(adjacency, start):
+    tree = {start: start}
+    queue = [start]
+    for node in queue:
+        for nxt in sorted(adjacency[node]):
+            if nxt not in tree:
+                tree[nxt] = node
+                queue.append(nxt)
+    return tree
+
+
+def _bits(rows):
+    """Each distance as (type, float.hex()): -0.0 and 0.0 differ, as do 1-ulp neighbours."""
+    return [[(type(d), d.hex()) for d in row] for row in rows]
+
+
+def bridge_outcome(build, sources, pid, tol):
+    """Reports, species, tolerance and distance bits of a bridge, or its error's type and text."""
+    try:
+        space, reports = build(sources, pid, tol=tol)
+    except (TypeError, ValueError) as exc:  # MalformedTable is a ValueError
+        return ("raised", type(exc), str(exc))
+    carrier = space.base.carrier
+    species = [space.universe.atoms[a].species for a in carrier]
+    return ("ok", reports, list(space.axiom_reports), species, space.tol, carrier,
+            _bits(space.base.rows))
+
+
+def _compare_bridges(sources, pid, tol):
+    got = bridge_outcome(from_pid_table, sources, pid, tol)
+    assert got == bridge_outcome(reference_from_pid_table, sources, pid, tol)
+    return got
+
+
+# tol = 1.5e-16 rounds 1 + tol up to 1 + 2**-52, so v = 1 + 2**-52 passes the
+# v <= 1 + tol test and only the 1 - v >= -tol test rejects it.
+BRIDGE_TOLERANCES = [0.0, 1.5e-16, 1e-12, 1e-6, 0.1]
+
+
+@st.composite
+def degree_tables(draw):
+    """Grouped degree tables, then a few entries set to edge values or skewed by ulps and tol.
+
+    Sources in one group share degree 1 and groups sit at fixed degrees, so
+    most tables reach the species and axiom stages; edits add NaN, +-inf,
+    -0.0, ints, numeric and non-numeric strings, off-unit diagonals,
+    asymmetry at and 1 ulp past ``tol``, zero chains across groups, and now
+    and then a repeated name or a ragged row.
+    """
+    tol = draw(st.sampled_from(BRIDGE_TOLERANCES))
+    edges = [
+        1.0, 0.0, -0.0, 0.5, 0.25, 1 + 2**-52, math.nextafter(1.0, 0.0), tol, -tol,
+        math.nextafter(-tol, -math.inf), 1.0 + tol, math.nextafter(1.0 + tol, math.inf),
+        1.0 - tol, math.nan, math.inf, -math.inf, 1, 0, "0.5", "1", "x",
+    ]
+    k = draw(st.integers(min_value=1, max_value=3))
+    group_pid = [[1.0] * k for _ in range(k)]
+    for g in range(k):
+        for h in range(g + 1, k):
+            group_pid[g][h] = group_pid[h][g] = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    group = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    pid = [[group_pid[group[i]][group[j]] for j in range(n)] for i in range(n)]
+    kinds = st.sampled_from(["edge", "edge", "ulp", "tol", "past_tol", "one"])
+    for i, j, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              kinds), min_size=1, max_size=4)):
+        v = pid[i][j]
+        if kind == "edge":
+            pid[i][j] = draw(st.sampled_from(edges))
+        elif kind == "one":
+            pid[i][j] = pid[j][i] = 1.0
+        elif isinstance(v, float):
+            pid[i][j] = {"ulp": math.nextafter(v, math.inf), "tol": v + tol,
+                         "past_tol": math.nextafter(v + tol, math.inf)}[kind]
+    # Names in shuffled order, so name order and source order disagree.
+    names = draw(st.permutations("abcdef"))[:n]
+    rarely = st.sampled_from([False] * 9 + [True])
+    if n > 1 and draw(rarely):
+        names[draw(st.integers(1, n - 1))] = names[0]
+    if draw(rarely):
+        pid[draw(st.integers(0, n - 1))].append(1.0)
+    return names, pid, tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=degree_tables())
+def test_bridge_matches_reference(case):
+    _compare_bridges(*case)
+
+
+@pytest.mark.parametrize(
+    "pid, tol, kind",
+    [
+        # Only the 1 - v check rejects v = 1 + 2**-52 at tol = 1.5e-16.
+        ([[1.0, 1 + 2**-52], [1 + 2**-52, 1.0]], 1.5e-16, MalformedTable),
+        # Asymmetry exactly at tol passes; 1 ulp past it does not.
+        ([[1.0, 0.5], [0.5 + 2**-40, 1.0]], 2**-40, "ok"),
+        ([[1.0, 0.5], [math.nextafter(0.5 + 2**-40, 1.0), 1.0]], 2**-40, MalformedTable),
+        ([[1.0, math.nan], [math.nan, 1.0]], 1e-12, MalformedTable),
+        ([[1.0, math.inf], [math.inf, 1.0]], 1e-12, MalformedTable),
+        ([[1.0, -math.inf], [-math.inf, 1.0]], 1e-12, MalformedTable),
+        ([[1.0, -0.0], [-0.0, 1.0]], 1e-12, "ok"),
+        ([[1.0, 0.5], [0.5, 0.9]], 1e-12, MalformedTable),
+        ([[1, 0], [0, 1]], 0.0, "ok"),
+        ([[1.0, "0.5"], [0.5, 1.0]], 1e-12, "ok"),
+        ([[1.0, 0.5], ["0.5", 1.0]], 1e-12, TypeError),
+        (([["1", 0.5], [0.5, 1.0]]), 1e-12, TypeError),
+        ([[1.0, 1.4, "x"], [1.4, 1.0, 0.5], ["x", 0.5, 1.0]], 1e-12, MalformedTable),
+        ([[1.0, "x"], ["x", 1.0]], 1e-12, ValueError),
+        # A zero chain b ~ a ~ c whose ends are apart.
+        ([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 0.5, 1.0]], 1e-12, "ok"),
+    ],
+)
+def test_bridge_edge_tables_match_reference(pid, tol, kind):
+    got = _compare_bridges(["b", "a", "c"][: len(pid)], pid, tol)
+    assert got[0] == "ok" if kind == "ok" else got[1] is kind
