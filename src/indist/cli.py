@@ -42,8 +42,7 @@ import argparse
 import math
 import re
 import sys
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from . import __version__, onephoton
@@ -233,47 +232,87 @@ def _scalar(value, esc) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Texts(dict):
+    """JSON texts keyed by value; float zeros stay out (0.0 == -0.0) and are formatted here."""
+    __missing__ = staticmethod(float.__repr__)
+
+
 def _scalars(values, esc) -> Optional[list[str]]:
-    """The JSON text of each value, or None if one of them is a list, tuple or dict."""
+    """The JSON text of each value, or None if one of them is a list, tuple or dict.
+
+    A column of one type whose first 64 values are mostly repeats formats each
+    distinct value once; a mixed column goes value by value, as True == 1 == 1.0."""
     types = set(map(type, values))
-    if types == {float}:
-        return _floats(values, "\n").split("\n")
     if any(issubclass(t, (list, tuple, dict)) for t in types):
         return None
-    return list(map(esc, values)) if types == {str} else [_scalar(v, esc) for v in values]
+    if len(types) != 1:
+        return [_scalar(v, esc) for v in values]
+    kind = types.pop()
+    keys = values
+    if 2 * len(set(values[:64])) < len(values[:64]):  # mostly repeats: each distinct value once
+        keys = list(set(values) - {0.0} if issubclass(kind, float) else set(values))
+    texts = (_floats(keys, "\n").split("\n") if issubclass(kind, float) else
+             list(map(esc, keys)) if issubclass(kind, str) else [_scalar(v, esc) for v in keys])
+    return texts if keys is values else list(map(_Texts(zip(keys, texts)).__getitem__, values))
+
+
+_BLOCK = 4096  # list items per chunk, so the texts of one block bound the memory
+
+
+def _items(value, esc, pad: str):
+    """Yield the texts of a non-empty list's items, joined a block at a time.
+
+    Scalars are one column; same-shaped rows (dicts with one key order, or lists and
+    tuples of one nonzero length) are a column per field, filled into a row template."""
+    types = set(map(type, value))
+    keyed = types == {dict}
+    shapes = set(map(tuple if keyed else len, value)) if keyed or types <= {list, tuple} else ()
+    shape = shapes.pop() if len(shapes) == 1 else ()
+    row = "%s"
+    if shape:
+        slots = [esc(k).replace("%", "%%") + ": %s" for k in shape] if keyed else ["%s"] * shape
+        brackets = "{}" if keyed else "[]"
+        row = brackets[0] + "\n  " + pad + (",\n  " + pad).join(slots) + "\n" + pad + brackets[1]
+    for i in range(0, len(value), _BLOCK):
+        yield _block(value[i:i + _BLOCK], keyed, shape, row, esc, pad)
+
+
+def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
+    """Join rows through one %-template per row, or item by item if a column nests."""
+    cols = [_scalars(col, esc) for col in  # unnamed: the zip keeps an iterator per row
+            (zip(*(map(dict.values, rows) if keyed else rows)) if shape else [rows])]
+    sep = ",\n" + pad
+    if None in cols:
+        return sep.join(["".join(_json_chunks(item, esc, pad)) for item in rows])
+    return sep.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _json_chunks(value, esc, pad: str = ""):
     """Yield value as the json module writes it with indent=2, in pieces, nested at pad.
 
-    Lists of scalars and of same-keyed flat dicts are joined in C, not item by item."""
+    A list is written column by column through _items, one chunk per block."""
     if not isinstance(value, (list, tuple, dict)):
         yield _scalar(value, esc)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
         return
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        brackets, items = "{}", ((esc(key) + ": ", item) for key, item in value.items())
-    else:
-        texts = _scalars(value, esc)
-        keys = set(map(tuple, value)) if set(map(type, value)) == {dict} else ()
-        if len(keys) == 1:
-            names = keys.pop()
-            cols = [_scalars(list(map(itemgetter(name), value)), esc) for name in names]
-            if cols and None not in cols:  # one %-template for every row
-                slots = (esc(name).replace("%", "%%") + ": %s" for name in names)
-                row = "{\n" + inner + "  " + (sep + "  ").join(slots) + "\n" + inner + "}"
-                texts = list(map(row.__mod__, zip(*cols)))
-        if texts:
-            yield "[\n" + inner + sep.join(texts) + "\n" + pad + "]"
-            return
-        brackets, items = "[]", (("", item) for item in value)
-    head = brackets[0] + "\n" + inner
-    for key, item in items:
-        yield head + key
-        yield from _json_chunks(item, esc, inner)
+        head = "{\n" + inner
+        for key, item in value.items():
+            yield head + esc(key) + ": "
+            yield from _json_chunks(item, esc, inner)
+            head = sep
+        yield "\n" + pad + "}"
+        return
+    head = "[\n" + inner
+    for text in _items(value, esc, inner):
+        yield head
+        yield text
         head = sep
-    yield "\n" + pad + brackets[1] if value else brackets
+    yield "\n" + pad + "]"
 
 
 def _csv(lines: list[str]) -> tuple[int, str]:

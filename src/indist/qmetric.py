@@ -81,7 +81,10 @@ class _RowTable(Mapping):
 
     def __getitem__(self, pair: tuple[str, str]) -> float:
         a, b = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, pair)
-        return self.rows[self.index[a]][self.index[b]]
+        try:
+            return self.rows[self.index[a]][self.index[b]]
+        except KeyError:
+            raise KeyError(pair) from None  # name the whole key, as a pair-keyed dict does
 
     def __iter__(self):
         return ((a, b) for a in self.index for b in self.index)

@@ -513,6 +513,103 @@ class TestJsonWriter:
             json.dumps(report, indent=2)
 
 
+class _Float(float):
+    pass
+
+
+NAN = math.nan  # one NaN object, reused
+FRESH_NAN = object()  # drawn as float("nan"), a new NaN object each time
+POOLS = [
+    [0.0, -0.0, NAN, FRESH_NAN, math.inf, -math.inf, 0.5, 5e-324],
+    [_Float(0.0), _Float(-0.0), _Float(0.25), _Float("inf")],
+    [True, 1, 1.0, False, 0, 0.0, -0.0, None, FRESH_NAN],
+    ["%", "%s", "%%", "a", "\u00e9", ""],
+    [0, -1, 2 ** 70],
+    [True, False, None],
+]
+ROW_KEYS = ["%", "%s", "a", "\u00e9\"", "k%%"]
+
+
+@st.composite
+def pooled_rows(draw):
+    """Equal-length rows (lists, tuples or same-keyed dicts) whose columns repeat pool values."""
+    pools = draw(st.lists(st.sampled_from(POOLS), min_size=1, max_size=4))
+    columns = [st.sampled_from(pool).map(lambda v: float("nan") if v is FRESH_NAN else v)
+               for pool in pools]
+    n = draw(st.integers(1, 100))  # most often past the 64-value prefix the tables look at
+    rows = draw(st.lists(st.tuples(*columns), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["list", "tuple", "mixed", "dict"]))
+    if kind == "dict":
+        keys = draw(st.lists(st.sampled_from(ROW_KEYS), min_size=len(pools),
+                             max_size=len(pools), unique=True))
+        return [dict(zip(keys, row)) for row in rows]
+    if kind == "mixed":
+        return [list(row) if i % 3 else row for i, row in enumerate(rows)]
+    return [list(row) for row in rows] if kind == "list" else rows
+
+
+def _written(value) -> str:
+    from json.encoder import encode_basestring_ascii
+    return "".join(cli._json_chunks(value, encode_basestring_ascii))
+
+
+class TestColumnarWriter:
+    """Columns of repeated values and same-shaped rows still print json.dumps(indent=2) bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=pooled_rows())
+    def test_pooled_rows_match_json_dumps(self, rows):
+        column = [next(iter(row.values())) if isinstance(row, dict) else row[0] for row in rows]
+        report = {"rows": rows, "column": column, "nested": {"%s": [rows, column]}}
+        assert _written(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [[1.0, 2.0], [1.0]],
+        [[1.0], (2.0,), [3.0, 4.0]],
+        [[], [], []],
+        [(), ()],
+        [{}, {}],
+        [[_Float(0.0), _Float(-0.0)], [_Float(-0.0), _Float(0.0)]] * 50,
+        [_Float(-0.0), _Float(0.0), _Float(1.5)] * 50,
+        [-0.0, 0.0, NAN] * 50 + [float("nan"), float("nan")],
+        [[0.5, [1.0]], [0.5, [2.0]]] * 40,
+        [[0.5, 1.0]] * 5000 + [[0.5, {"x": -0.0}]],
+    ], ids=["ragged", "ragged-tuples", "empty-lists", "empty-tuples", "empty-dicts",
+            "float-subclass-rows", "float-subclass-column", "zeros-and-nans",
+            "nested-rows", "nested-in-last-block"])
+    def test_named_cases(self, value):
+        report = {"k": value, "%": [value]}
+        assert _written(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("kind", ["dict", "list"])
+    def test_rows_longer_than_one_block(self, kind):
+        n = 3 * 4096 + 1
+        rows = [[i / 7, i % 5 * 0.5, "s%d" % (i % 3), i % 2 == 0] for i in range(n)]
+        if kind == "dict":
+            rows = [{"t": a, "p%": b, "name": c, "ok": d} for a, b, c, d in rows]
+        assert _written({"rows": rows}) == json.dumps({"rows": rows}, indent=2)
+
+    @pytest.mark.parametrize("kind", ["samples", "dict-rows"])
+    def test_memory_stays_within_two_and_a_half_output_sizes(self, kind):
+        import tracemalloc
+
+        n = 3 * 4096 + 1
+        rows = [[i / n * 6.283185307179586, 1.0 + math.cos(i / 7)] for i in range(n)]
+        if kind == "dict-rows":
+            rows = [{"t_mag": a, "p_id": b, "visibility": b / 2, "coincidence_id_prob": 1 - a}
+                    for a, b in rows]
+        value = {"rows": rows}
+        _written(value)  # import json.encoder outside the trace
+        tracemalloc.start()
+        try:
+            text = _written(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(value, indent=2)
+        assert peak <= 2.5 * len(text), f"peak {peak / len(text):.2f}x the output"
+
+
 class TestMoreGoldenFiles:
     @pytest.mark.parametrize("argv,code,golden", [
         ((*DECOMPOSE_EXAMPLE, "--output", "csv"), 0, "decompose_064.csv"),

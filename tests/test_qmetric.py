@@ -421,6 +421,16 @@ class TestBridgeSpaceStorage:
         with pytest.raises(NotInCarrier):
             space.base.distance("a", "zz")
 
+    def test_view_names_the_whole_key_it_rejects(self):
+        space, _ = from_pid_table(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
+        plain = dict(space.base.distances)
+        for key in [("a", "zz"), ("zz", "a"), ("zz", "zz"), "ab", ("a", "b", "a"), ("a",)]:
+            with pytest.raises(KeyError) as exc:
+                space.base.distances[key]
+            with pytest.raises(KeyError) as plain_exc:
+                plain[key]
+            assert exc.value.args == plain_exc.value.args == (key,)
+
     def test_user_dict_space_is_unchanged(self):
         d = {("a", "a"): 0.0, ("a", "b"): 0.25, ("b", "a"): 0.25, ("b", "b"): 0.0}
         space = QuasiMetricSpace(("a", "b"), d)
