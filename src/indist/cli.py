@@ -42,16 +42,18 @@ import argparse
 import math
 import re
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
+from operator import countOf
+from struct import Struct
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from . import __version__, onephoton
+from . import __version__
 
 if TYPE_CHECKING:
-    from . import quasiset
+    from . import onephoton, quasiset
 
-# quasiset, qmetric and zwm are imported by the commands that use them, so
-# that a process running one command loads only that command's modules.
+# onephoton, quasiset, qmetric and zwm are imported by the commands that use
+# them, so that a process running one command loads only that command's modules.
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -256,6 +258,38 @@ def _scalars(values, esc) -> Optional[list[str]]:
     return texts if keys is values else list(map(_Texts(zip(keys, texts)).__getitem__, values))
 
 
+def _row_texts(rows, row: str, esc) -> Optional[list[str]]:
+    """Each row's text, formatted once per distinct row; None unless every value is a
+    plain float and the first 64 rows are mostly repeats. A row is keyed by its bytes,
+    as 0.0 == -0.0 and True == 1 == 1.0 would merge rows whose texts differ."""
+    head, width = rows[:64], len(rows[0])
+    pack = Struct("%dd" % width).pack
+    if (countOf(map(type, chain.from_iterable(head)), float) < width * len(head)
+            or 2 * len({pack(*values) for values in head}) >= len(head)
+            or countOf(map(type, chain.from_iterable(rows)), float) < width * len(rows)):
+        return None
+    keys = [pack(*values) for values in rows]
+    texts = {key: row % tuple(_scalars(v, esc)) for key, v in dict(zip(keys, rows)).items()}
+    return list(map(texts.__getitem__, keys))
+
+
+class _DictRows:
+    """A list of dicts with one key order, held as one list per key: the writer fills
+    its row template from these columns and builds the dicts only if a column nests."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, span: slice) -> _DictRows:
+        return _DictRows({key: column[span] for key, column in self.columns.items()})
+
+    def __iter__(self):
+        return (dict(zip(self.columns, values)) for values in zip(*self.columns.values()))
+
+
 _BLOCK = 4096  # list items per chunk, so the texts of one block bound the memory
 
 
@@ -264,10 +298,13 @@ def _items(value, esc, pad: str):
 
     Scalars are one column; same-shaped rows (dicts with one key order, or lists and
     tuples of one nonzero length) are a column per field, filled into a row template."""
-    types = set(map(type, value))
-    keyed = types == {dict}
-    shapes = set(map(tuple if keyed else len, value)) if keyed or types <= {list, tuple} else ()
-    shape = shapes.pop() if len(shapes) == 1 else ()
+    if isinstance(value, _DictRows):
+        keyed, shape = True, tuple(value.columns)
+    else:
+        types = set(map(type, value))
+        keyed = types == {dict}
+        shapes = set(map(tuple if keyed else len, value)) if keyed or types <= {list, tuple} else ()
+        shape = shapes.pop() if len(shapes) == 1 else ()
     row = "%s"
     if shape:
         slots = [esc(k).replace("%", "%%") + ": %s" for k in shape] if keyed else ["%s"] * shape
@@ -278,10 +315,15 @@ def _items(value, esc, pad: str):
 
 
 def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
-    """Join rows through one %-template per row, or item by item if a column nests."""
-    cols = [_scalars(col, esc) for col in  # unnamed: the zip keeps an iterator per row
-            (zip(*(map(dict.values, rows) if keyed else rows)) if shape else [rows])]
+    """Join rows through one %-template per row, or item by item if a column nests;
+    repeated rows of plain floats are formatted once per distinct row."""
     sep = ",\n" + pad
+    texts = None if keyed or not shape else _row_texts(rows, row, esc)
+    if texts:
+        return sep.join(texts)
+    cols = [_scalars(col, esc) for col in  # unnamed: the zip keeps an iterator per row
+            (rows.columns.values() if isinstance(rows, _DictRows) else
+             zip(*(map(dict.values, rows) if keyed else rows)) if shape else [rows])]
     if None in cols:
         return sep.join(["".join(_json_chunks(item, esc, pad)) for item in rows])
     return sep.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*cols)))
@@ -290,8 +332,8 @@ def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
 def _json_chunks(value, esc, pad: str = ""):
     """Yield value as the json module writes it with indent=2, in pieces, nested at pad.
 
-    A list is written column by column through _items, one chunk per block."""
-    if not isinstance(value, (list, tuple, dict)):
+    A list (or _DictRows) is written column by column through _items, one chunk per block."""
+    if not isinstance(value, (list, tuple, dict, _DictRows)):
         yield _scalar(value, esc)
         return
     if not value:
@@ -341,6 +383,7 @@ def _density_dict(rho: onephoton.DensityOperator2) -> dict:
 
 
 def _valid_density(args) -> onephoton.DensityOperator2:
+    from . import onephoton
     rho = onephoton.DensityOperator2(rho11=args.rho11, rho22=args.rho22,
                                      rho12=complex(args.rho12_re, args.rho12_im))
     issues = onephoton.validate_density(rho)
@@ -365,6 +408,7 @@ def _read(path: str, what: str, parse):
 
 
 def cmd_decompose(args) -> tuple[int, str]:
+    from . import onephoton
     rho = _valid_density(args)
     try:
         dec = onephoton.mandel_decompose(rho)
@@ -393,7 +437,7 @@ def cmd_decompose(args) -> tuple[int, str]:
 
 
 def cmd_zwm_sweep(args) -> tuple[int, str]:
-    from . import zwm
+    from . import onephoton, zwm
 
     alpha, beta = args.alpha, args.beta
     if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -430,6 +474,7 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
 
 
 def cmd_fringes(args) -> tuple[int, str]:
+    from . import onephoton
     rho = _valid_density(args)
     if args.samples < 8:
         raise CliExit(EXIT_INVALID_INPUT, f"samples must be >= 8, got {args.samples}")
@@ -508,10 +553,12 @@ def cmd_bridge(args) -> tuple[int, str]:
 
     axioms_hold = all(r.holds for r in reports)
     rows = space.base.rows
-    # Pairs a < b in source order; r = 1 - d as in qmetric.degree.
-    degrees = [{"a": a, "b": b, "degree": 1.0 - d}
-               for i, (a, row) in enumerate(zip(sources, rows))
-               for b, d in zip(sources[i + 1 :], row[i + 1 :])] if space.axioms_hold else []
+    # Pairs a < b in source order, one column per key; r = 1 - d as in qmetric.degree.
+    degrees = _DictRows({
+        "a": list(chain.from_iterable(map(repeat, sources, range(len(sources) - 1, -1, -1)))),
+        "b": list(chain.from_iterable(sources[i + 1 :] for i in range(len(sources)))),
+        "degree": [1.0 - d for i, row in enumerate(rows) for d in row[i + 1 :]],
+    }) if space.axioms_hold else []
     inputs = {"sources": sources, "pid": pid, "tolerance": tolerance}
     outputs = {
         "distance": rows,

@@ -119,7 +119,10 @@ class QuasiMetricSpace:
         """
         if isinstance(self.distances, _RowTable):
             return self.distances.rows
-        return tuple(tuple([self.distance(a, b) for b in self.carrier]) for a in self.carrier)
+        try:
+            return tuple(tuple([self.distances[a, b] for b in self.carrier]) for a in self.carrier)
+        except KeyError:  # distance() names the first missing pair
+            return tuple(tuple([self.distance(a, b) for b in self.carrier]) for a in self.carrier)
 
     def distance(self, a: str, b: str) -> float:
         if a not in self.index or b not in self.index:
@@ -265,10 +268,12 @@ def differentiation_space(
     tol: float = DEFAULT_TOL,
 ) -> DifferentiationSpace:
     """Wrap a [0,1]-valued space together with its verified axiom reports."""
-    # Row-major, so an out-of-range entry ahead of the first missing pair is reported.
-    for a in base.carrier:
-        for b in base.carrier:
-            d = base.distance(a, b)
+    try:
+        rows = base.rows
+    except IncompleteTable:  # pair by pair, so an out-of-range entry ahead of the missing one wins
+        rows = ((base.distance(a, b) for b in base.carrier) for a in base.carrier)
+    for a, row in zip(base.carrier, rows):
+        for b, d in zip(base.carrier, row):
             if math.isfinite(d) and not (-tol <= d <= 1.0 + tol):
                 raise OutOfRange(f"distance d({a!r}, {b!r}) = {d!r} outside [0, 1]")
     reports = tuple(verify_qm_axioms(base, universe, tol=tol))

@@ -406,6 +406,23 @@ class TestLazyImports:
         assert not imported & {"indist.quasiset", "indist.qmetric", "indist.zwm"}
 
 
+class TestModelCommandsSkipOnephoton:
+    @pytest.mark.parametrize("argv", [
+        ("bridge", str(DATA / "bridge_clean.pid")),
+        ("qset-check", str(DATA / "three_photons.univ")),
+        ("--version",),
+    ], ids=lambda argv: argv[0])
+    def test_onephoton_is_not_imported(self, argv):
+        # -X importtime logs every module the process imports to stderr.
+        cp = subprocess.run([sys.executable, "-X", "importtime", "-m", "indist", *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0
+        imported = {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "indist.cli" in imported
+        assert "indist.onephoton" not in imported
+
+
 FRINGES_EXAMPLE = ("fringes", "--rho11", "0.64", "--rho22", "0.36",
                    "--rho12-re", "0.24", "--samples", "8")
 
@@ -608,6 +625,113 @@ class TestColumnarWriter:
             tracemalloc.stop()
         assert text == json.dumps(value, indent=2)
         assert peak <= 2.5 * len(text), f"peak {peak / len(text):.2f}x the output"
+
+
+@st.composite
+def float_row_matrices(draw):
+    """Lists of float rows drawn from a small pool: signed zeros, NaNs, equal copies of
+    one row and the same row object, as lists or tuples; sometimes one pool row whose
+    zeros and ones are bools, ints or a float subclass."""
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from([0.0, -0.0, NAN, FRESH_NAN, 1.0, -1.5, math.inf, 5e-324]).map(
+        lambda v: float("nan") if v is FRESH_NAN else v)
+    pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=3))
+    pool += [[-v if v == 0 else v for v in row] for row in pool]  # the signed-zero twin rows
+    n = draw(st.integers(1, 150))  # most often past the 64 rows the probe looks at
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.sampled_from(["same", "copy", "tuple"])),
+                          min_size=n, max_size=n))
+    rows = [pool[i] if how == "same" else list(pool[i]) if how == "copy" else tuple(pool[i])
+            for i, how in picks]
+    odd = draw(st.sampled_from([None, bool, int, _Float]))  # packs to a pool row's bytes
+    if odd is not None:
+        row = [odd(v) if v in (0.0, 1.0) else v for v in draw(st.sampled_from(pool))]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+class TestRepeatedRows:
+    """Lists of repeated float rows, formatted once per distinct row, print json.dumps bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=float_row_matrices())
+    def test_pooled_float_rows_match_json_dumps(self, rows):
+        report = {"rows": rows, "nested": {"m": [rows, rows[:1]]}}
+        assert _written(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [[0.0, 1.5], [-0.0, 1.5]] * 40,
+        [[True, 1.0], [1, 1.0], [1.0, 1.0]] * 30,
+        [[1.0, 1.0]] * 70 + [[True, 1.0]],
+        [[NAN, 0.5], [float("nan"), 0.5], [math.inf, -math.inf]] * 30,
+        [[_Float(0.5), _Float(-0.0)], [0.5, 0.0]] * 40,
+        [[0.25, -0.0, 1e300]] * 4096 + [[0.0, 5e-324, -1e300]] * 4097,
+        [[i / 3, -0.0] for i in range(64)] + [[0.5, 0.5]] * 200,
+        [[0.5, 0.5]] * 64 + [(i / 3, -0.0) for i in range(200)],
+    ], ids=["signed-zero-twins", "bool-int-float-rows", "bool-row-after-repeats", "nan-rows",
+            "float-subclass-rows", "two-blocks", "64-distinct-then-repeats",
+            "64-repeats-then-distinct"])
+    def test_named_cases(self, value):
+        report = {"k": value, "%": [value]}
+        assert _written(report) == json.dumps(report, indent=2)
+
+
+class TestBridgeReportBytes:
+    """The bridge report equals json.dumps of the report built with per-pair degree dicts."""
+
+    @staticmethod
+    def expected(sources, pid, tolerance):
+        from indist import __version__, qmetric
+
+        space, reports = qmetric.from_pid_table(sources, pid, tol=tolerance)
+        rows = space.base.rows
+        degrees = [{"a": a, "b": b, "degree": 1.0 - d}
+                   for i, (a, row) in enumerate(zip(sources, rows))
+                   for b, d in zip(sources[i + 1:], row[i + 1:])] if space.axioms_hold else []
+        holds = all(r.holds for r in reports)
+        report = {
+            "command": "bridge", "version": __version__,
+            "inputs": {"sources": sources, "pid": pid, "tolerance": tolerance},
+            "outputs": {"distance": rows,
+                        "reports": [{"axiom": r.axiom, "holds": r.holds,
+                                     "counterexample": None if r.counterexample is None
+                                     else list(r.counterexample)} for r in reports],
+                        "degrees": degrees, "axioms_hold": holds},
+            "status": 0 if holds else 4,
+        }
+        return report["status"], json.dumps(report, indent=2) + "\n"
+
+    @staticmethod
+    def run(tmp_path, sources, pid, tolerance=1e-12):
+        path = tmp_path / "table.pid"
+        path.write_text("sources: " + " ".join(sources) + "\npid:\n"
+                        + "".join("  " + " ".join(map(repr, row)) + "\n" for row in pid))
+        out = io.StringIO()
+        status = cli.main(["bridge", str(path), "--tolerance", repr(tolerance)], stdout=out)
+        return status, out.getvalue()
+
+    def test_one_source_has_no_degrees(self, tmp_path):
+        status, text = self.run(tmp_path, ["s1"], [[1.0]])
+        assert (status, text) == self.expected(["s1"], [[1.0]], 1e-12)
+        assert '"degrees": []' in text
+
+    def test_axioms_failing_table_has_no_degrees(self, tmp_path):
+        pid = [[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]]
+        status, text = self.run(tmp_path, ["s1", "s2", "s3"], pid)
+        assert status == 4
+        assert (status, text) == self.expected(["s1", "s2", "s3"], pid, 1e-12)
+        assert '"degrees": []' in text
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.lists(st.sampled_from([k / 16 for k in range(17)]) | st.floats(0, 1),
+                           min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    def test_random_grouped_tables(self, tmp_path_factory, groups, picks):
+        x = [groups[i % len(groups)] for i in picks]
+        pid = [[1.0 - abs(a - b) for b in x] for a in x]
+        sources = [f"s{i}" for i in range(len(x))]
+        got = self.run(tmp_path_factory.mktemp("bridge"), sources, pid)
+        assert got == self.expected(sources, pid, 1e-12)
 
 
 class TestMoreGoldenFiles:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import sys
 import tracemalloc
 from random import Random
@@ -188,6 +189,48 @@ class TestDegree:
         base = QuasiMetricSpace(("a", "b"), table(("a", "b"), {("a", "b"): 1.4}))
         with pytest.raises(OutOfRange):
             differentiation_space(base, u)
+
+
+class TestDictSpaceReads:
+    """A user dict space is read through its mapping; distance() only names a missing pair."""
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        calls = []
+        distance = QuasiMetricSpace.distance
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return distance(self, a, b)
+
+        monkeypatch.setattr(QuasiMetricSpace, "distance", counted)
+        return calls
+
+    def test_complete_dict_space_makes_no_distance_calls(self, distance_calls):
+        u = Universe(species=["s", "t"], atoms=[Atom("a", MICRO, "s"), Atom("a2", MICRO, "s"),
+                                                Atom("b", MICRO, "t")])
+        d = table(("a", "a2", "b"), {("a", "a2"): 0.0, ("a", "b"): 0.5, ("a2", "b"): 0.5})
+        space = differentiation_space(QuasiMetricSpace(("a", "a2", "b"), d), u)
+        assert space.axioms_hold
+        assert space.base.rows == ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5), (0.5, 0.5, 0.0))
+        assert distance_calls == []
+
+    @pytest.mark.parametrize("out, missing, error, message", [
+        (("b", "a"), ("a", "b"), IncompleteTable, "no distance entry for ('a', 'b')"),
+        (("a", "b"), ("b", "a"), OutOfRange, "distance d('a', 'b') = 1.5 outside [0, 1]"),
+        (("a", "c"), ("a", "b"), IncompleteTable, "no distance entry for ('a', 'b')"),
+        (("a", "b"), ("a", "c"), OutOfRange, "distance d('a', 'b') = 1.5 outside [0, 1]"),
+        (("c", "c"), ("c", "b"), IncompleteTable, "no distance entry for ('c', 'b')"),
+    ])
+    def test_first_fault_in_row_major_order_wins(self, out, missing, error, message):
+        d = {(p, q): 0.25 if p != q else 0.0 for p in "abc" for q in "abc"}
+        d[out] = 1.5
+        del d[missing]
+        u = Universe(species=list("abc"), atoms=[Atom(t, MICRO, t) for t in "abc"])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            differentiation_space(QuasiMetricSpace(tuple("abc"), d), u)
+        with pytest.raises(IncompleteTable, match=re.escape(f"no distance entry for {missing}")):
+            QuasiMetricSpace(tuple("abc"), d).rows
 
 
 class TestFromPidTable:
