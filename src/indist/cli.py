@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from itertools import chain, combinations, repeat
@@ -296,14 +297,13 @@ _BLOCK = 4096  # list items per chunk, so the texts of one block bound the memor
 def _items(value, esc, pad: str):
     """Yield the texts of a non-empty list's items, joined a block at a time.
 
-    Scalars are one column; same-shaped rows (dicts with one key order, or lists and
-    tuples of one nonzero length) are a column per field, filled into a row template."""
-    if isinstance(value, _DictRows):
-        keyed, shape = True, tuple(value.columns)
+    Scalars are one column; a _DictRows, or lists and tuples of one nonzero length,
+    are a column per field, filled into a row template. Dicts go item by item."""
+    keyed = isinstance(value, _DictRows)
+    if keyed:
+        shape = tuple(value.columns)
     else:
-        types = set(map(type, value))
-        keyed = types == {dict}
-        shapes = set(map(tuple if keyed else len, value)) if keyed or types <= {list, tuple} else ()
+        shapes = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
         shape = shapes.pop() if len(shapes) == 1 else ()
     row = "%s"
     if shape:
@@ -322,8 +322,7 @@ def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
     if texts:
         return sep.join(texts)
     cols = [_scalars(col, esc) for col in  # unnamed: the zip keeps an iterator per row
-            (rows.columns.values() if isinstance(rows, _DictRows) else
-             zip(*(map(dict.values, rows) if keyed else rows)) if shape else [rows])]
+            (rows.columns.values() if keyed else zip(*rows) if shape else [rows])]
     if None in cols:
         return sep.join(["".join(_json_chunks(item, esc, pad)) for item in rows])
     return sep.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*cols)))
@@ -355,10 +354,6 @@ def _json_chunks(value, esc, pad: str = ""):
         yield text
         head = sep
     yield "\n" + pad + "]"
-
-
-def _csv(lines: list[str]) -> tuple[int, str]:
-    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _counterexample(report: quasiset.AxiomReport) -> Optional[list]:
@@ -431,12 +426,14 @@ def cmd_decompose(args) -> tuple[int, str]:
         lines.extend(f"{key},{_fmt(value)}" for key, value in {**weights, **scalars}.items())
         for tag, part in parts.items():
             lines.extend(f"{tag}_{key},{_fmt(value)}" for key, value in part.items())
-        return _csv(lines)
+        return EXIT_OK, "\n".join(lines) + "\n"
     outputs = {key: _jsonable(value) for key, value in {**weights, **parts, **scalars}.items()}
     return _json(args, {name: getattr(args, name) for name in DENSITY_ARGS}, outputs)
 
 
 def cmd_zwm_sweep(args) -> tuple[int, str]:
+    from dataclasses import fields
+
     from . import onephoton, zwm
 
     alpha, beta = args.alpha, args.beta
@@ -456,21 +453,21 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
     setup = zwm.ZwmSetup(pump_alpha=alpha / scale, pump_beta=beta / scale,
                          idler_transmission=1.0)
     try:
-        rows = zwm.sweep_transmission(setup, args.steps)
+        columns = zwm.sweep_columns(setup, args.steps)
     except zwm.InvalidSetup as exc:
         # Subnormal amplitudes lose the precision the normalization needs.
         raise CliExit(EXIT_INVALID_INPUT, f"bad amplitudes: {exc}") from None
     except onephoton.DegenerateSource as exc:
         raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
 
+    names = [field.name for field in fields(zwm.SweepRow)]
     if args.output == "csv":
-        # Every row value is a float, so repr() is the _fmt() text.
-        lines = ["t_mag,p_id,visibility,coincidence_id_prob"]
-        lines.extend(f"{row.t_mag!r},{row.p_id!r},{row.visibility!r},{row.coincidence_id_prob!r}"
-                     for row in rows)
-        return _csv(lines)
+        # Every value is a float, so %r prints its _fmt() text.
+        row = ",".join(["%r"] * len(names)) + "\n"
+        return EXIT_OK, ",".join(names) + "\n" + row * args.steps % tuple(
+            chain.from_iterable(zip(*columns)))
     inputs = {name: getattr(args, name) for name in ("alpha", "beta", "steps")}
-    return _json(args, inputs, {"rows": [vars(row) for row in rows]})
+    return _json(args, inputs, {"rows": _DictRows(dict(zip(names, columns)))})
 
 
 def cmd_fringes(args) -> tuple[int, str]:
@@ -481,14 +478,11 @@ def cmd_fringes(args) -> tuple[int, str]:
     scan = onephoton.fringe_scan(rho, 1.0, args.samples)
 
     if args.output == "csv":
-        lines = ["phase_rad,rate"]
-        lines.extend(f"{phase!r},{rate!r}" for phase, rate in scan.samples)
-        lines.append(f"visibility,{_fmt(scan.visibility)}")
-        return _csv(lines)
+        # Every sample is a float pair, so %r prints its _fmt() text.
+        lines = "%r,%r\n" * args.samples % tuple(chain.from_iterable(scan.samples))
+        return EXIT_OK, f"phase_rad,rate\n{lines}visibility,{_fmt(scan.visibility)}\n"
     inputs = {name: getattr(args, name) for name in (*DENSITY_ARGS, "samples")}
-    outputs = {"samples": [[phase, rate] for phase, rate in scan.samples],
-               "visibility": scan.visibility}
-    return _json(args, inputs, outputs)
+    return _json(args, inputs, {"samples": scan.samples, "visibility": scan.visibility})
 
 
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
@@ -514,17 +508,17 @@ def cmd_qset_check(args) -> tuple[int, str]:
 
     universe = _read(args.universe_file, "universe", parse_universe)
     eq_reports = quasiset.check_equivalence_axioms(universe)
-    instances = [
-        {"x": x, "z": z, "w": w, "holds": r.holds, "counterexample": _counterexample(r)}
-        for x, z, w, r in quasiset.theorem_instances(universe)
-    ]
+    x, z, w, reports = list(zip(*quasiset.theorem_instances(universe))) or [()] * 4
+    instances = _DictRows({"x": x, "z": z, "w": w, "holds": [r.holds for r in reports],
+                           "counterexample": list(map(_counterexample, reports))})
     witnesses = _separation_witnesses(universe)
-    all_hold = all(r.holds for r in eq_reports) and all(i["holds"] for i in instances)
+    all_hold = all(r.holds for r in eq_reports) and all(instances.columns["holds"])
 
+    atoms = [universe.atoms[k] for k in sorted(universe.atoms)]
     inputs = {
         "species": sorted(universe.species),
-        "atoms": [{"uid": a.uid, "kind": a.kind, "species": a.species}
-                  for a in (universe.atoms[k] for k in sorted(universe.atoms))],
+        "atoms": _DictRows({key: [getattr(a, key) for a in atoms]
+                            for key in ("uid", "kind", "species")}),
         "qsets": {name: sorted(universe.qsets[name]) for name in sorted(universe.qsets)},
     }
     outputs = {
@@ -628,8 +622,18 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
                     fh.write(text)
             except OSError as exc:
                 raise CliExit(EXIT_INVALID_INPUT, f"cannot write output file: {exc}") from None
+        elif stdout is None:  # fd 1 was closed when the interpreter started
+            raise CliExit(EXIT_INVALID_INPUT, "cannot write output: stdout is closed")
         else:
-            stdout.write(text)
+            try:
+                stdout.write(text)
+                stdout.flush()
+            except OSError as exc:
+                # fd 1 goes to os.devnull, so that the exit-time flush cannot fail on it
+                # again (the Python docs' note on SIGPIPE).
+                if stdout is sys.stdout:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+                raise CliExit(EXIT_INVALID_INPUT, f"cannot write output: {exc}") from None
     except CliExit as exc:
         stderr.write(f"{exc.line}\n")
         return exc.code

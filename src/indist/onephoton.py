@@ -257,14 +257,10 @@ def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> Frin
     g12 = k2 * complex(rho.rho12).conjugate()
     base = k2 * (rho.rho11 + rho.rho22)
     step = 2.0 * math.pi / n_samples
-    samples = []
-    for k in range(n_samples):
-        phi = k * step
-        rate = base + 2.0 * (g12 * cmath.exp(1j * phi)).real
-        samples.append((phi, rate))
-    rates = [r for _, r in samples]
+    phis = [k * step for k in range(n_samples)]
+    rates = [base + 2.0 * (g12 * cmath.exp(1j * phi)).real for phi in phis]
     hi, lo = max(rates), min(rates)
-    return FringeScan(samples=tuple(samples), visibility=(hi - lo) / (hi + lo))
+    return FringeScan(samples=tuple(zip(phis, rates)), visibility=(hi - lo) / (hi + lo))
 
 
 def visibility_vs_pid(rho: DensityOperator2) -> VisibilityComparison:

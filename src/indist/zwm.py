@@ -86,20 +86,21 @@ def whichway_coincidence_prob(setup: ZwmSetup) -> float:
     return 1.0 - abs(setup.idler_transmission) ** 2
 
 
-def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
-    """Evaluate the model on a uniform |tau| grid from 0 to 1.
+def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
+    """The four ``SweepRow`` columns of the model on a uniform |tau| grid from 0 to 1.
 
-    The phase of tau and the pump split are held fixed; rows come back in
+    The phase of tau and the pump split are held fixed; values come back in
     grid order and the p_id column is monotone nondecreasing.
 
     Each row evaluates the same expressions, in the same order, as
     ``zwm_signal_state`` -> ``onephoton.visibility_vs_pid`` ->
     ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
     Only tau changes along the grid, so the pump split is validated and the
-    populations are checked once here; each row checks only |tau|.  Its
-    rho12 needs no positivity check: |rho12| / sqrt(rho11*rho22) = |tau| =
-    t*|phase| <= |phase|, which is 1 within a few ulp, so the relative excess
-    is a few ulp, far below ``onephoton.ANALYTIC_TOL``.
+    populations are checked once here; each row checks only |tau|, and the
+    first row over the bound raises.  Its rho12 needs no positivity check:
+    |rho12| / sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1
+    within a few ulp, so the relative excess is a few ulp, far below
+    ``onephoton.ANALYTIC_TOL``.
     """
     _require_valid(setup)
     if steps < 2:
@@ -119,15 +120,17 @@ def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
     geo = math.sqrt(rho11 * rho22)
     two_geo = 2.0 * geo
 
-    rows = []
-    for i in range(steps):
-        t = i / (steps - 1)
-        tau = t * phase
-        tau_mag = abs(tau)
-        # The negated comparison also catches NaN; the full check then raises.
-        if not tau_mag <= 1.0 + AMPLITUDE_TOL:
-            _require_valid(ZwmSetup(setup.pump_alpha, setup.pump_beta, tau))
-        mag = abs(ab * tau.conjugate())
-        p_id = min(mag / geo, 1.0)
-        rows.append(SweepRow(t, p_id, two_geo * p_id, 1.0 - tau_mag ** 2))
-    return rows
+    ts = [i / (steps - 1) for i in range(steps)]
+    taus = [t * phase for t in ts]
+    tau_mags = list(map(abs, taus))
+    # NaN is not within the bound either; the full check raises at the first row out.
+    within = list(map((1.0 + AMPLITUDE_TOL).__ge__, tau_mags))
+    if False in within:
+        _require_valid(ZwmSetup(setup.pump_alpha, setup.pump_beta, taus[within.index(False)]))
+    p_ids = [min(abs(ab * tau.conjugate()) / geo, 1.0) for tau in taus]
+    return ts, p_ids, [two_geo * p_id for p_id in p_ids], [1.0 - m ** 2 for m in tau_mags]
+
+
+def sweep_transmission(setup: ZwmSetup, steps: int) -> list[SweepRow]:
+    """The rows of ``sweep_columns``, in grid order."""
+    return list(map(SweepRow, *sweep_columns(setup, steps)))

@@ -734,6 +734,162 @@ class TestBridgeReportBytes:
         assert got == self.expected(sources, pid, 1e-12)
 
 
+class TestColumnReportBytes:
+    """zwm-sweep, fringes and qset-check hand the writer columns; their reports equal
+    the bytes built from the former per-row records, dicts and lists."""
+
+    @staticmethod
+    def report(command, inputs, outputs, status=0):
+        from indist import __version__
+        return json.dumps({"command": command, "version": __version__, "inputs": inputs,
+                           "outputs": outputs, "status": status}, indent=2) + "\n"
+
+    @staticmethod
+    def main(*argv):
+        out = io.StringIO()
+        status = cli.main(list(argv), stdout=out)
+        return status, out.getvalue()
+
+    @pytest.mark.parametrize("steps", [2, 5, 4097, 8193])
+    def test_zwm_sweep(self, steps):
+        from indist import zwm
+
+        alpha, beta = 0.8, 0.6
+        scale = math.sqrt(alpha ** 2 + beta ** 2)
+        rows = zwm.sweep_transmission(zwm.ZwmSetup(alpha / scale, beta / scale, 1.0), steps)
+        argv = ("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", str(steps))
+        inputs = {"alpha": alpha, "beta": beta, "steps": steps}
+        assert self.main(*argv) == (0, self.report("zwm-sweep", inputs,
+                                                   {"rows": [vars(r) for r in rows]}))
+        lines = ["t_mag,p_id,visibility,coincidence_id_prob"]
+        lines.extend(f"{r.t_mag!r},{r.p_id!r},{r.visibility!r},{r.coincidence_id_prob!r}"
+                     for r in rows)
+        assert self.main(*argv, "--output", "csv") == (0, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("samples", [8, 8195])
+    def test_fringes(self, samples):
+        from indist import onephoton
+
+        rho = onephoton.DensityOperator2(0.64, 0.36, complex(0.24, 0.0))
+        scan = onephoton.fringe_scan(rho, 1.0, samples)
+        argv = (*FRINGES_EXAMPLE[:-1], str(samples))
+        inputs = {"rho11": 0.64, "rho22": 0.36, "rho12_re": 0.24, "rho12_im": 0.0,
+                  "samples": samples}
+        outputs = {"samples": [[phase, rate] for phase, rate in scan.samples],
+                   "visibility": scan.visibility}
+        assert self.main(*argv) == (0, self.report("fringes", inputs, outputs))
+        lines = ["phase_rad,rate", *(f"{phase!r},{rate!r}" for phase, rate in scan.samples),
+                 f"visibility,{scan.visibility!r}"]
+        assert self.main(*argv, "--output", "csv") == (0, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("text", [
+        (DATA / "three_photons.univ").read_text(),
+        "species: p q\natoms:\n  a micro p\n  b micro p\n  c micro p\n  d micro q\n"
+        "  e micro q\n  M macro\nqsets:\n  x = a d\n  y = a b d e\n  z = x c M\n",
+        "species: p\natoms:\n  a micro p\n  M macro\n",
+        "species: p\natoms:\nqsets:\n  e =\n  f = e\n",
+    ], ids=["three-photons", "two-species", "no-qsets", "no-atoms"])
+    def test_qset_check(self, tmp_path, text):
+        from indist import quasiset
+
+        path = tmp_path / "universe.univ"
+        path.write_text(text)
+        universe = parse_universe(text)
+        eq_reports = quasiset.check_equivalence_axioms(universe)
+        instances = [{"x": x, "z": z, "w": w, "holds": r.holds,
+                      "counterexample": None if r.counterexample is None
+                      else list(r.counterexample)}
+                     for x, z, w, r in quasiset.theorem_instances(universe)]
+        holds = all(r.holds for r in eq_reports) and all(i["holds"] for i in instances)
+        inputs = {
+            "species": sorted(universe.species),
+            "atoms": [{"uid": a.uid, "kind": a.kind, "species": a.species}
+                      for a in (universe.atoms[k] for k in sorted(universe.atoms))],
+            "qsets": {name: sorted(universe.qsets[name]) for name in sorted(universe.qsets)},
+        }
+        outputs = {
+            "equivalence_axioms": [{"axiom": r.axiom, "holds": r.holds,
+                                    "counterexample": None if r.counterexample is None
+                                    else list(r.counterexample)} for r in eq_reports],
+            "theorem_instances": instances,
+            "separation_witnesses": cli._separation_witnesses(universe),
+            "classical_qsets": [name for name in sorted(universe.qsets)
+                                if quasiset.is_classical_qset(universe, name)],
+            "all_hold": holds,
+        }
+        status = 0 if holds else 4
+        assert self.main("qset-check", str(path)) == (
+            status, self.report("qset-check", inputs, outputs, status))
+
+    @pytest.mark.parametrize("columns", [
+        {"t": [i / 7 for i in range(2 * 4096 + 3)], "p%": [i % 5 * 0.5 for i in range(8195)],
+         "name": ["s%d" % (i % 3) for i in range(8195)], "ok": [i % 2 == 0 for i in range(8195)]},
+        {"a": (1.0, -0.0, math.nan), "c": (None, [1, [2.0]], None)},
+        {"a": [0.5] * 4100, "c": [None] * 4097 + [[-0.0], None, {"x": None}]},
+        {"a": [], "b": []},
+        {"x": ("a", "b"), "%s": (True, None)},
+    ], ids=["three-blocks", "nested-column", "nested-in-second-block", "empty", "tuples"])
+    def test_dict_rows_writer(self, columns):
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        value = {"rows": cli._DictRows(columns), "nested": {"%s": cli._DictRows(columns)}}
+        assert _written(value) == json.dumps({"rows": rows, "nested": {"%s": rows}}, indent=2)
+
+    def test_zwm_sweep_builds_no_rows(self, monkeypatch):
+        from indist import zwm
+
+        built = []
+        init = zwm.SweepRow.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(zwm.SweepRow, "__init__", counted)
+        for output in ("json", "csv"):
+            status, _ = self.main("zwm-sweep", "--alpha", "1", "--beta", "2",
+                                  "--steps", "50", "--output", output)
+            assert status == 0
+        assert built == []
+        zwm.sweep_transmission(zwm.ZwmSetup(0.6, 0.8, 1.0), 3)  # the counter does count
+        assert len(built) == 3
+
+
+class TestStdoutWriteFailures:
+    """A stdout that fails or is closed ends like a failing --out: one line, exit 2."""
+
+    @staticmethod
+    def assert_one_line(returncode, stderr, reason):
+        assert returncode == 2
+        assert "Traceback" not in stderr
+        assert stderr.startswith("cannot write output: " + reason)
+        assert stderr.count("\n") == 1
+
+    def test_broken_pipe(self):
+        argv = ("fringes", "--rho11", "0.5", "--rho22", "0.5", "--rho12-re", "0.3",
+                "--samples", "200000", "--output", "csv")
+        child = subprocess.Popen([sys.executable, "-m", "indist", *argv],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()  # the reader goes away, as in `| true`
+        stderr = child.stderr.read()
+        child.stderr.close()
+        self.assert_one_line(child.wait(), stderr, "[Errno 32]")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            cp = subprocess.run([sys.executable, "-m", "indist", "zwm-sweep", "--alpha", "1",
+                                 "--beta", "1", "--steps", "5"],
+                                stdout=full, stderr=subprocess.PIPE, text=True)
+        self.assert_one_line(cp.returncode, cp.stderr, "[Errno 28]")
+
+    def test_closed_stdout(self):
+        # sh closes fd 1 before python starts, so sys.stdout is None.
+        cp = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "indist",
+                             "fringes", "--rho11", "0.5", "--rho22", "0.5"],
+                            stderr=subprocess.PIPE, text=True)
+        self.assert_one_line(cp.returncode, cp.stderr, "stdout is closed")
+
+
 class TestMoreGoldenFiles:
     @pytest.mark.parametrize("argv,code,golden", [
         ((*DECOMPOSE_EXAMPLE, "--output", "csv"), 0, "decompose_064.csv"),

@@ -103,3 +103,12 @@ def test_rejections_match_reference(setup, steps, error):
     got = outcome(sweep_transmission, setup, steps)
     assert got == outcome(reference_sweep, setup, steps)
     assert got[0] is error
+
+
+@pytest.mark.parametrize("steps", [5, 101])
+@pytest.mark.parametrize("tau", [5e-324 + 5e-324j, 1e-320 + 1e-320j, 3e-323 + 5e-324j, 5e-324])
+def test_subnormal_transmission_matches_reference(tau, steps):
+    # A subnormal complex tau divides into a phase off unit modulus, so a row
+    # past some t exceeds |tau| = 1; both sides must name the first such row.
+    setup = ZwmSetup(0.6, 0.8, tau)
+    assert outcome(sweep_transmission, setup, steps) == outcome(reference_sweep, setup, steps)
