@@ -356,15 +356,6 @@ def _json_chunks(value, esc, pad: str = ""):
     yield "\n" + pad + "]"
 
 
-def _counterexample(report: quasiset.AxiomReport) -> Optional[list]:
-    return None if report.counterexample is None else list(report.counterexample)
-
-
-def _axiom_report_dict(report: quasiset.AxiomReport) -> dict:
-    return {"axiom": report.axiom, "holds": report.holds,
-            "counterexample": _counterexample(report)}
-
-
 def _density_dict(rho: onephoton.DensityOperator2) -> dict:
     r12 = complex(rho.rho12)
     values = (rho.rho11, rho.rho22, r12.real, r12.imag)
@@ -510,7 +501,7 @@ def cmd_qset_check(args) -> tuple[int, str]:
     eq_reports = quasiset.check_equivalence_axioms(universe)
     x, z, w, reports = list(zip(*quasiset.theorem_instances(universe))) or [()] * 4
     instances = _DictRows({"x": x, "z": z, "w": w, "holds": [r.holds for r in reports],
-                           "counterexample": list(map(_counterexample, reports))})
+                           "counterexample": [r.counterexample for r in reports]})
     witnesses = _separation_witnesses(universe)
     all_hold = all(r.holds for r in eq_reports) and all(instances.columns["holds"])
 
@@ -518,11 +509,11 @@ def cmd_qset_check(args) -> tuple[int, str]:
     inputs = {
         "species": sorted(universe.species),
         "atoms": _DictRows({key: [getattr(a, key) for a in atoms]
-                            for key in ("uid", "kind", "species")}),
+                            for key in quasiset.Atom._fields}),
         "qsets": {name: sorted(universe.qsets[name]) for name in sorted(universe.qsets)},
     }
     outputs = {
-        "equivalence_axioms": [_axiom_report_dict(r) for r in eq_reports],
+        "equivalence_axioms": [r._asdict() for r in eq_reports],
         "theorem_instances": instances,
         "separation_witnesses": witnesses,
         "classical_qsets": [name for name in sorted(universe.qsets)
@@ -556,7 +547,7 @@ def cmd_bridge(args) -> tuple[int, str]:
     inputs = {"sources": sources, "pid": pid, "tolerance": tolerance}
     outputs = {
         "distance": rows,
-        "reports": [_axiom_report_dict(r) for r in reports],
+        "reports": [r._asdict() for r in reports],
         "degrees": degrees,
         "axioms_hold": axioms_hold,
     }
@@ -565,9 +556,16 @@ def cmd_bridge(args) -> tuple[int, str]:
 
 # -- argument parsing ----------------------------------------------------------
 
+class _Shown(Exception):
+    """Ends parsing with the --help or --version text, which main writes to stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # one line through main; --help and --version still exit
+    def error(self, message: str):  # one line through main
         raise CliExit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}")
+
+    def _print_message(self, message: str, file=None):  # reached only by --help and --version
+        raise _Shown(message)
 
 
 COMMANDS = (
@@ -614,11 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
          stderr: TextIO = sys.stderr) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        status, text = args.func(args)
-        if args.out:
+        try:
+            args = build_parser().parse_args(argv)
+            out, (status, text) = args.out, args.func(args)
+        except _Shown as shown:
+            out, status, text = None, EXIT_OK, str(shown)
+        if out:
             try:
-                with open(args.out, "w", encoding="utf-8") as fh:
+                with open(out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             except OSError as exc:
                 raise CliExit(EXIT_INVALID_INPUT, f"cannot write output file: {exc}") from None

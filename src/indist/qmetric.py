@@ -34,11 +34,10 @@ answers whether the physical numbers actually form one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, gt, sub
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .quasiset import (
     MICRO,
@@ -93,7 +92,6 @@ class _RowTable(Mapping):
         return len(self.index) ** 2
 
 
-@dataclass(frozen=True)
 class QuasiMetricSpace:
     """Carrier terms plus a distance table indexed by ordered pairs.
 
@@ -101,10 +99,20 @@ class QuasiMetricSpace:
     judge, not the constructor.  The checks read the table through
     :attr:`rows`, a dense matrix indexed by carrier position, built once on
     first use; :func:`from_pid_table` keeps only that matrix, behind a view.
+    Attributes are read-only; spaces compare by identity.
     """
 
-    carrier: tuple[str, ...]
-    distances: Mapping[tuple[str, str], float]
+    def __init__(self, carrier: tuple[str, ...], distances: Mapping[tuple[str, str], float]):
+        vars(self).update(carrier=carrier, distances=distances)  # past __setattr__, as the caches
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"QuasiMetricSpace(carrier={self.carrier!r}, distances={self.distances!r})"
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -133,8 +141,7 @@ class QuasiMetricSpace:
             raise IncompleteTable(f"no distance entry for ({a!r}, {b!r})") from None
 
 
-@dataclass(frozen=True)
-class DifferentiationSpace:
+class DifferentiationSpace(NamedTuple):
     """Quasi-metric space with distances in [0, 1], plus its axiom audit.
 
     ``tol`` is the tolerance the audit was made at; degree comparisons on

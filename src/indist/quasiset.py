@@ -26,8 +26,7 @@ those members (handy for derived collections such as ``x - z1``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 MICRO = "micro"
 MACRO = "macro"
@@ -63,25 +62,32 @@ class MalformedUniverse(ValueError):
         self.term = term
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Atomic term: kind is exactly one of micro/macro, species micro-only."""
-
+class _AtomFields(NamedTuple):
     uid: str
     kind: str
     species: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (MICRO, MACRO):
-            raise MalformedUniverse(f"atom {self.uid!r} has unknown kind {self.kind!r}", self.uid)
-        if self.kind == MICRO and self.species is None:
-            raise MalformedUniverse(f"micro-atom {self.uid!r} needs a species", self.uid)
-        if self.kind == MACRO and self.species is not None:
-            raise MalformedUniverse(f"macro-atom {self.uid!r} must not carry a species", self.uid)
+
+class Atom(_AtomFields):
+    """Atomic term: kind is exactly one of micro/macro, species micro-only."""
+
+    __slots__ = ()
+
+    def __new__(cls, uid: str, kind: str, species: Optional[str] = None) -> Atom:
+        if kind not in (MICRO, MACRO):
+            raise MalformedUniverse(f"atom {uid!r} has unknown kind {kind!r}", uid)
+        if kind == MICRO and species is None:
+            raise MalformedUniverse(f"micro-atom {uid!r} needs a species", uid)
+        if kind == MACRO and species is not None:
+            raise MalformedUniverse(f"macro-atom {uid!r} must not carry a species", uid)
+        return super().__new__(cls, uid, kind, species)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Atom:  # namedtuple's skips __new__; _replace calls it
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of one checked axiom or theorem instance.
 
     ``holds`` false comes with a counterexample tuple that can be replayed
@@ -357,12 +363,9 @@ def permutation_theorem_check(u: Universe, x: Term, z: str, w: str) -> AxiomRepo
 
     x_sig = _signature(u, xm)
     w_class = sorted(indist_class(u, w))
-    for removal in sorted(t for t in xm if t in z_class):
+    for removal in sorted(xm & z_class):
         reduced = xm - {removal}
-        found = any(
-            _signature(u, reduced | {s}) == x_sig for s in w_class
-        )
-        if not found:
+        if not any(_signature(u, reduced | {s}) == x_sig for s in w_class):
             return AxiomReport("permutation", False, counterexample=(removal,))
     return AxiomReport("permutation", True)
 
@@ -413,28 +416,16 @@ def check_equivalence_axioms(
                 rows[i] |= 1 << j
                 cols[j] |= 1 << i
 
-    q1 = AxiomReport("Q1", True)
-    for i, row in enumerate(rows):
-        if not row >> i & 1:
-            q1 = AxiomReport("Q1", False, counterexample=(terms[i],))
-            break
-
-    q2 = AxiomReport("Q2", True)
-    for i, (row, col) in enumerate(zip(rows, cols)):
-        if row != col:
-            q2 = AxiomReport("Q2", False, counterexample=(terms[i], terms[_lowest(row ^ col)]))
-            break
-
-    q3 = AxiomReport("Q3", True)
-    for i, row in enumerate(rows):
-        for j, other in enumerate(rows):
-            if row >> j & 1 and other & ~row:  # some c with b ~ c but not a ~ c
-                c = terms[_lowest(other & ~row)]
-                q3 = AxiomReport("Q3", False, counterexample=(terms[i], terms[j], c))
-                break
-        if not q3.holds:
-            break
-
+    # Each axiom reports its first failure in row-major order, or holds.
+    q1 = next((AxiomReport("Q1", False, (terms[i],))
+               for i, row in enumerate(rows) if not row >> i & 1), AxiomReport("Q1", True))
+    q2 = next((AxiomReport("Q2", False, (terms[i], terms[_lowest(row ^ col)]))
+               for i, (row, col) in enumerate(zip(rows, cols)) if row != col),
+              AxiomReport("Q2", True))
+    q3 = next((AxiomReport("Q3", False, (terms[i], terms[j], terms[_lowest(other & ~row)]))
+               for i, row in enumerate(rows) for j, other in enumerate(rows)
+               if row >> j & 1 and other & ~row),  # some c with b ~ c but not a ~ c
+              AxiomReport("Q3", True))
     return [q1, q2, q3]
 
 
@@ -492,9 +483,7 @@ def quasi_function_check(
     for i, (a, b) in enumerate(pair_list):
         for a2, b2 in pair_list[i:]:
             if indist(u, a, a2) and not indist(u, b, b2):
-                return AxiomReport(
-                    "quasi-function", False, counterexample=("congruence", a, b, a2, b2)
-                )
+                return AxiomReport("quasi-function", False, ("congruence", a, b, a2, b2))
 
     return AxiomReport("quasi-function", True)
 

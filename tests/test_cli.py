@@ -452,6 +452,16 @@ class TestLeanStart:
         assert cp.returncode == 0, cp.stderr
         assert cp.stderr == "[]"
 
+    @pytest.mark.parametrize("argv", [
+        ("bridge", str(DATA / "bridge_clean.pid")),
+        ("qset-check", str(DATA / "three_photons.univ")),
+    ], ids=lambda argv: argv[0])
+    def test_model_commands_skip_dataclasses_and_inspect(self, argv):
+        cp = subprocess.run([sys.executable, "-c", LEAN_START_CHILD, *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == "[]"
+
 
 # Writes to stderr which json modules running argv newly imports.
 NO_JSON_CHILD = """
@@ -887,6 +897,27 @@ class TestStdoutWriteFailures:
         cp = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "indist",
                              "fringes", "--rho11", "0.5", "--rho22", "0.5"],
                             stderr=subprocess.PIPE, text=True)
+        self.assert_one_line(cp.returncode, cp.stderr, "stdout is closed")
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_flag_text_goes_through_main(self, flag):
+        out = io.StringIO()
+        assert cli.main([flag], stdout=out) == 0
+        assert out.getvalue() == run_cli(flag).stdout
+        assert out.getvalue().startswith("indist 0.1.0\n" if flag == "--version" else "usage: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_flag_text_to_full_device(self, flag):
+        with open("/dev/full", "w") as full:
+            cp = subprocess.run([sys.executable, "-m", "indist", flag],
+                                stdout=full, stderr=subprocess.PIPE, text=True)
+        self.assert_one_line(cp.returncode, cp.stderr, "[Errno 28]")
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_flag_text_to_closed_stdout(self, flag):
+        cp = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "indist",
+                             flag], stderr=subprocess.PIPE, text=True)
         self.assert_one_line(cp.returncode, cp.stderr, "stdout is closed")
 
 

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_universe
 from indist.onephoton import degree_of_indistinguishability
 from indist.qmetric import (
     AxiomsViolated,
@@ -31,7 +32,16 @@ from indist.qmetric import (
     identity_semantic_value,
     verify_qm_axioms,
 )
-from indist.quasiset import MICRO, Atom, Universe, indist
+from indist.quasiset import (
+    MICRO,
+    Atom,
+    AxiomReport,
+    Universe,
+    check_equivalence_axioms,
+    indist,
+    permutation_theorem_check,
+    theorem_instances,
+)
 from indist.zwm import ZwmSetup, zwm_signal_state
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -503,3 +513,42 @@ class TestBridgeSpaceStorage:
         row_bytes = (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
                      + sum(map(sys.getsizeof, floats)))
         assert kept <= 2 * row_bytes, (kept, row_bytes)
+
+
+class TestRecordTypes:
+    """Records are tuples, so == against a plain tuple cannot check their type."""
+
+    def test_every_report_is_an_axiom_report(self):
+        rng = Random(17)
+        reports = []
+        for _ in range(30):
+            u = random_universe(rng, max_micro=5, max_qsets=3)
+            reports += check_equivalence_axioms(u)
+            reports += check_equivalence_axioms(u, relation=lambda u, a, b: False)
+            for x, z, w, report in theorem_instances(u):
+                reports += [report, permutation_theorem_check(u, x, z, w)]
+        universe = two_atom_universe(same_species=True)
+        for d in (0.0, 0.5):  # 0.5 fails QM4
+            space = QuasiMetricSpace(("a", "b"), table(("a", "b"), {("a", "b"): d}))
+            reports += verify_qm_axioms(space, universe)
+        # a ~ b ~ c at distance 0, but d(a, c) = 0.5: zero-transitivity and QM6 fail.
+        space, bridge = from_pid_table("abc", [[1, 1, 0.5], [1, 1, 1], [0.5, 1, 1]])
+        reports += [*bridge, *space.axiom_reports]
+        assert {r.holds for r in reports} == {True, False}
+        assert any(r.axiom == "permutation" for r in reports)
+        assert all(type(r) is AxiomReport for r in reports)
+        assert type(space) is DifferentiationSpace
+
+    def test_space_fields_are_read_only(self):
+        space = QuasiMetricSpace(("a",), {("a", "a"): 0.0})
+        with pytest.raises(AttributeError):
+            space.carrier = ("b",)
+        with pytest.raises(AttributeError):
+            space.distances = {}
+        with pytest.raises(AttributeError):
+            del space.carrier
+        assert space.carrier == ("a",) and space.rows == ((0.0,),)
+
+    def test_space_repr_names_its_fields(self):
+        space = QuasiMetricSpace(("a",), {("a", "a"): 0.0})
+        assert repr(space) == "QuasiMetricSpace(carrier=('a',), distances={('a', 'a'): 0.0})"

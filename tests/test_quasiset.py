@@ -1,6 +1,7 @@
 """Finite-model semantics: indistinguishability, identity, and the axioms."""
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -391,6 +392,24 @@ class TestUniverseConstruction:
             Universe(qsets={"x": ["q", "r"], "q": ["r"], "r": ["q"]})
         assert str(info.value) == "qset 'q' contains itself (directly or transitively)"
         assert info.value.term == "q"
+
+
+class TestAtomRecord:
+    @pytest.mark.parametrize("build", [
+        lambda: Atom("a", MICRO, "s")._replace(kind="meso"),
+        lambda: Atom._make(("a", MICRO, None)),
+        lambda: Atom("a", MACRO)._replace(species="s"),
+    ], ids=["replace-kind", "make-no-species", "replace-macro-species"])
+    def test_make_and_replace_check_like_the_constructor(self, build):
+        with pytest.raises(MalformedUniverse, match="'a'") as info:
+            build()
+        assert info.value.term == "a"
+
+    def test_replace_and_pickle_keep_the_type(self):
+        atom = Atom("a", MICRO, "s")
+        for twin in (atom._replace(uid="b"), pickle.loads(pickle.dumps(atom))):
+            assert type(twin) is Atom
+        assert pickle.loads(pickle.dumps(atom)) == atom
 
 
 class TestClassicalFlag:
