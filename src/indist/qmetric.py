@@ -103,7 +103,8 @@ class QuasiMetricSpace:
     """
 
     def __init__(self, carrier: tuple[str, ...], distances: Mapping[tuple[str, str], float]):
-        vars(self).update(carrier=carrier, distances=distances)  # past __setattr__, as the caches
+        # Straight into __dict__, past __setattr__, as cached_property writes its caches.
+        vars(self).update(carrier=carrier, distances=distances)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
