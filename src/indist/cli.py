@@ -204,10 +204,6 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
 
 # -- output -------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
@@ -241,15 +237,13 @@ class _Texts(dict):
 
 
 def _scalars(values, esc) -> Optional[list[str]]:
-    """The JSON text of each value, or None if one of them is a list, tuple or dict.
+    """The JSON text of each value of a column of one scalar type, else None: a mixed
+    column (True == 1 == 1.0) or one that nests goes value by value through _json_chunks.
 
-    A column of one type whose first 64 values are mostly repeats formats each
-    distinct value once; a mixed column goes value by value, as True == 1 == 1.0."""
+    A column whose first 64 values are mostly repeats formats each distinct value once."""
     types = set(map(type, values))
-    if any(issubclass(t, (list, tuple, dict)) for t in types):
+    if len(types) != 1 or issubclass(next(iter(types)), (list, tuple, dict, _DictRows)):
         return None
-    if len(types) != 1:
-        return [_scalar(v, esc) for v in values]
     kind = types.pop()
     keys = values
     if 2 * len(set(values[:64])) < len(values[:64]):  # mostly repeats: each distinct value once
@@ -276,7 +270,7 @@ def _row_texts(rows, row: str, esc) -> Optional[list[str]]:
 
 class _DictRows:
     """A list of dicts with one key order, held as one list per key: the writer fills
-    its row template from these columns and builds the dicts only if a column nests."""
+    its row template from these columns and never builds the dicts."""
 
     def __init__(self, columns: dict):
         self.columns = columns
@@ -287,9 +281,6 @@ class _DictRows:
     def __getitem__(self, span: slice) -> _DictRows:
         return _DictRows({key: column[span] for key, column in self.columns.items()})
 
-    def __iter__(self):
-        return (dict(zip(self.columns, values)) for values in zip(*self.columns.values()))
-
 
 _BLOCK = 4096  # list items per chunk, so the texts of one block bound the memory
 
@@ -298,7 +289,7 @@ def _items(value, esc, pad: str):
     """Yield the texts of a non-empty list's items, joined a block at a time.
 
     Scalars are one column; a _DictRows, or lists and tuples of one nonzero length,
-    are a column per field, filled into a row template. Dicts go item by item."""
+    are a column per field, filled into a row template."""
     keyed = isinstance(value, _DictRows)
     if keyed:
         shape = tuple(value.columns)
@@ -315,16 +306,17 @@ def _items(value, esc, pad: str):
 
 
 def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
-    """Join rows through one %-template per row, or item by item if a column nests;
-    repeated rows of plain floats are formatted once per distinct row."""
+    """Join rows through one %-template per row; a column that _scalars leaves is
+    written value by value at its field's depth. Repeated rows of plain floats are
+    formatted once per distinct row."""
     sep = ",\n" + pad
     texts = None if keyed or not shape else _row_texts(rows, row, esc)
     if texts:
         return sep.join(texts)
-    cols = [_scalars(col, esc) for col in  # unnamed: the zip keeps an iterator per row
+    inner = pad + "  " if shape else pad
+    cols = [_scalars(col, esc) or ["".join(_json_chunks(v, esc, inner)) for v in col]
+            for col in  # unnamed: the zip keeps an iterator per row
             (rows.columns.values() if keyed else zip(*rows) if shape else [rows])]
-    if None in cols:
-        return sep.join(["".join(_json_chunks(item, esc, pad)) for item in rows])
     return sep.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*cols)))
 
 
@@ -358,8 +350,7 @@ def _json_chunks(value, esc, pad: str = ""):
 
 def _density_dict(rho: onephoton.DensityOperator2) -> dict:
     r12 = complex(rho.rho12)
-    values = (rho.rho11, rho.rho22, r12.real, r12.imag)
-    return {name: _jsonable(value) for name, value in zip(DENSITY_ARGS, values)}
+    return dict(zip(DENSITY_ARGS, (rho.rho11, rho.rho22, r12.real, r12.imag)))
 
 
 # -- commands -----------------------------------------------------------------
@@ -375,7 +366,7 @@ def _valid_density(args) -> onephoton.DensityOperator2:
     issues = onephoton.validate_density(rho)
     if issues:
         raise CliExit(EXIT_INVALID_INPUT, "invalid density: " + "; ".join(
-            f"{issue.invariant} residual {_fmt(issue.residual)}" for issue in issues))
+            f"{issue.invariant} residual {issue.residual!r}" for issue in issues))
     return rho
 
 
@@ -413,11 +404,10 @@ def cmd_decompose(args) -> tuple[int, str]:
         "visibility_over_p_id": vis.ratio,  # NaN when p_id = 0
     }
     if args.output == "csv":
-        lines = ["key,value"]
-        lines.extend(f"{key},{_fmt(value)}" for key, value in {**weights, **scalars}.items())
-        for tag, part in parts.items():
-            lines.extend(f"{tag}_{key},{_fmt(value)}" for key, value in part.items())
-        return EXIT_OK, "\n".join(lines) + "\n"
+        table = {**weights, **scalars, **{f"{tag}_{key}": value for tag, part in parts.items()
+                                          for key, value in part.items()}}
+        return EXIT_OK, "key,value\n" + "%s,%r\n" * len(table) % tuple(
+            chain.from_iterable(table.items()))
     outputs = {key: _jsonable(value) for key, value in {**weights, **parts, **scalars}.items()}
     return _json(args, {name: getattr(args, name) for name in DENSITY_ARGS}, outputs)
 
@@ -453,7 +443,6 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
 
     names = [field.name for field in fields(zwm.SweepRow)]
     if args.output == "csv":
-        # Every value is a float, so %r prints its _fmt() text.
         row = ",".join(["%r"] * len(names)) + "\n"
         return EXIT_OK, ",".join(names) + "\n" + row * args.steps % tuple(
             chain.from_iterable(zip(*columns)))
@@ -469,9 +458,8 @@ def cmd_fringes(args) -> tuple[int, str]:
     scan = onephoton.fringe_scan(rho, 1.0, args.samples)
 
     if args.output == "csv":
-        # Every sample is a float pair, so %r prints its _fmt() text.
         lines = "%r,%r\n" * args.samples % tuple(chain.from_iterable(scan.samples))
-        return EXIT_OK, f"phase_rad,rate\n{lines}visibility,{_fmt(scan.visibility)}\n"
+        return EXIT_OK, f"phase_rad,rate\n{lines}visibility,{scan.visibility!r}\n"
     inputs = {name: getattr(args, name) for name in (*DENSITY_ARGS, "samples")}
     return _json(args, inputs, {"samples": scan.samples, "visibility": scan.visibility})
 
@@ -643,7 +631,3 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -197,7 +197,7 @@ class Universe:
     # -- lookups ------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self.atoms or name in self.qsets
+        return name in self._sig
 
     def terms(self) -> tuple[str, ...]:
         """All term names, atoms then qsets, in sorted order."""
@@ -230,12 +230,11 @@ def _members(u: Universe, x: Term) -> frozenset[str]:
             raise NotAQset(f"{x!r} is an atom, not a qset")
         raise UnknownTerm(f"unknown term {x!r}")
     ms = frozenset(x)
-    for m in ms:
-        if not isinstance(m, str) or m not in u:
-            # Name the first unknown in the caller's order, or the least one of a set.
-            order = x if isinstance(x, (list, tuple)) else sorted(ms, key=repr)
-            bad = next(t for t in order if not isinstance(t, str) or t not in u)
-            raise UnknownTerm(f"unknown term {bad!r} in anonymous qset")
+    if not ms <= u._sig.keys():
+        # Name the first unknown in the caller's order, or the least one of a set.
+        order = x if isinstance(x, (list, tuple)) else sorted(ms, key=repr)
+        bad = next(t for t in order if t not in u)
+        raise UnknownTerm(f"unknown term {bad!r} in anonymous qset")
     return ms
 
 

@@ -844,6 +844,20 @@ class TestColumnReportBytes:
         value = {"rows": cli._DictRows(columns), "nested": {"%s": cli._DictRows(columns)}}
         assert _written(value) == json.dumps({"rows": rows, "nested": {"%s": rows}}, indent=2)
 
+    @pytest.mark.parametrize("where", ["in-a-list", "in-a-nested-column"])
+    def test_dict_rows_anywhere(self, where):
+        columns = {"a": [1.0, -0.0, 1.0], "%s": ["x", None, [0.5]]}
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        if where == "in-a-list":
+            value = [cli._DictRows(columns), 0.5, [cli._DictRows(columns)]]
+            expected = [rows, 0.5, [rows]]
+        else:
+            value = cli._DictRows({"n": [1, 2, 3], "t": [cli._DictRows(columns)] * 3})
+            expected = [{"n": n, "t": rows} for n in (1, 2, 3)]
+        report = {"k": value, "nested": {"%": [value]}}
+        assert _written(report) == json.dumps(
+            {"k": expected, "nested": {"%": [expected]}}, indent=2)
+
     def test_zwm_sweep_builds_no_rows(self, monkeypatch):
         from indist import zwm
 
@@ -1109,3 +1123,94 @@ class TestParserFuzz:
             parse(text)
         except ParseError:
             pass
+
+
+NUMBERS = ("0", "-0.0", "0.5", "0.64", "0.36", "0.24", "1", "-1", "1e-12", "nan", "NaN", "inf",
+           "-inf", "5e-324", "1e308", "1_0", "0x1", "junk", "")
+# --steps and --samples draw only sizes <= 1000, or text that int() rejects.
+COUNTS = ("-3", "0", "1", "2", "7", "8", "11", "1000", "1_0", "1e3", "1.5", "nan", "junk", "")
+DENSITIES = (("0.64", "0.36"), ("0.5", "0.5"), ("1", "0"), ("0.25", "0.75"))
+ATOM_LINES = ("  a micro p", "  b micro p", "  c micro q", "  M macro", "  N macro")
+QSET_LINES = ("  x = a b", "  y = x c M", "  u = a M N", "  e =", "  z = z", "  w = a nope")
+JUNK_LINES = ("species: p p", "  c micro r", "  a macro", "x = a", "qsets: x", "# note", "",
+              "junk", "pid:")
+
+
+def _option(name: str, pool, keep: bool = False) -> st.SearchStrategy:
+    """["--name", value] from pool, or (unless keep) no option at all."""
+    option = st.sampled_from(pool).map(lambda value: ["--" + name, value])
+    return option if keep else option | st.just([])
+
+
+@st.composite
+def _universe_text(draw) -> str:
+    lines = ["species: p q", "atoms:",
+             *draw(st.lists(st.sampled_from(ATOM_LINES), max_size=5, unique=True)),
+             "qsets:", *draw(st.lists(st.sampled_from(QSET_LINES), max_size=3, unique=True))]
+    for junk in draw(st.lists(st.sampled_from(JUNK_LINES), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@st.composite
+def _table_text(draw) -> str:
+    x = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=1, max_size=4))
+    rows = [[repr(1.0 - abs(a - b)) for b in x] for a in x]
+    for i, j, token in draw(st.lists(st.tuples(st.integers(0, len(x) - 1),
+                                               st.integers(0, len(x) - 1),
+                                               st.sampled_from(NUMBERS)), max_size=1)):
+        rows[i][j] = rows[j][i] = token
+    lines = ["sources: " + " ".join(f"s{i}" for i in range(len(x))), "pid:"]
+    lines += ["  " + " ".join(row) for row in rows]
+    for junk in draw(st.lists(st.sampled_from(JUNK_LINES + ("sources: s0",)), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for one of the five commands, and the bytes of its input file."""
+    command = draw(st.sampled_from([name for name, _, _ in cli.COMMANDS]))
+    argv, text = [command], ""
+    if command in ("decompose", "fringes"):
+        rho11, rho22 = draw(st.sampled_from(DENSITIES) | st.tuples(*[st.sampled_from(NUMBERS)] * 2))
+        both = ["--rho11", rho11, "--rho22", rho22]
+        argv += draw(st.sampled_from([both] * 3 + [both[:2]]))
+        argv += draw(_option("rho12-re", NUMBERS)) + draw(_option("rho12-im", NUMBERS))
+    if command == "zwm-sweep":
+        argv += draw(_option("alpha", NUMBERS, keep=True)) + draw(_option("beta", NUMBERS))
+        argv += draw(_option("steps", COUNTS))
+    if command == "fringes":
+        argv += draw(_option("samples", COUNTS))
+    if command in ("decompose", "zwm-sweep", "fringes"):
+        argv += draw(_option("output", ("json", "csv") * 2 + ("xml",)))
+    if command == "qset-check":
+        argv.append("{input}")
+        text = draw(_universe_text())
+    if command == "bridge":
+        argv += ["{input}", *draw(_option("tolerance", NUMBERS))]
+        text = draw(_table_text())
+    argv += draw(st.sampled_from([[]] * 6 + [["--out", "{missing}"], ["--bogus"]]))
+    return argv, draw(st.sampled_from([b""] * 4 + [b"\xef\xbb\xbf", b"\xff"])) + text.encode()
+
+
+class TestCliFuzz:
+    """Any call of the five commands ends in exit 0, 2, 3 or 4; exits 2 and 3 write one
+    stderr line and no stdout, exits 0 and 4 a report and no stderr."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(call=cli_calls())
+    def test_exit_code_and_streams(self, tmp_path_factory, call):
+        argv, data = call
+        path = tmp_path_factory.getbasetemp() / "cli_fuzz_input"
+        path.write_bytes(data)
+        missing = tmp_path_factory.getbasetemp() / "no_such_dir" / "out"
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main([arg.format(input=path, missing=missing) for arg in argv],
+                        stdout=out, stderr=err)
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
