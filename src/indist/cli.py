@@ -85,11 +85,25 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\S+")
 
 
-def _content_lines(text: str):
+def _sections(text: str, inline: str, *names: str):
+    """Yield (section, lineno, line, start) for each content line of a sectioned file.
+
+    A line ends at its first '#' and is skipped when blank. A header is one of names,
+    then ':' (whitespace may come between); start is the offset after its colon, and 0
+    on an entry line. Only the inline section takes entries after its header's colon."""
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield lineno, line
+        head, colon, rest = line.partition(":")
+        if colon and head.strip() in names:
+            section = head.strip()
+            if section != inline and rest.strip():
+                raise ParseError(f"section {section!r} takes no inline entries", lineno)
+            yield section, lineno, line, len(head) + 1
+        elif line:
+            if section is None:
+                raise ParseError(f"expected a section header, got {line.strip()!r}", lineno)
+            yield section, lineno, line, 0
 
 
 def parse_universe(text: str) -> quasiset.Universe:
@@ -100,22 +114,8 @@ def parse_universe(text: str) -> quasiset.Universe:
     atoms: list[quasiset.Atom] = []
     qsets: dict[str, list[str]] = {}
     lines: dict[str, int] = {}  # the line of every atom and qset entry
-    section = None
 
-    for lineno, line in _content_lines(text):
-        stripped = line.strip()
-        head = stripped.split(":", 1)[0].strip() if ":" in stripped else None
-        start = 0
-        if head in ("species", "atoms", "qsets"):
-            section = head
-            start = line.index(":") + 1
-            if section != "species":
-                if line[start:].strip():
-                    raise ParseError(f"section {head!r} takes no inline entries", lineno)
-                continue
-        elif section is None:
-            raise ParseError(f"expected a section header, got {stripped!r}", lineno)
-
+    for section, lineno, line, start in _sections(text, "species", "species", "atoms", "qsets"):
         if section == "species":
             for m in _TOKEN.finditer(line, start):
                 label = m.group()
@@ -123,10 +123,12 @@ def parse_universe(text: str) -> quasiset.Universe:
                     raise ParseError(f"duplicate species label {label!r}", lineno, m.start() + 1)
                 species.add(label)
             continue
+        if start:  # an atoms: or qsets: header
+            continue
         # Error columns are the 1-based offsets of the tokens in the line.
         columns = [m.start() + 1 for m in _TOKEN.finditer(line)]
         if section == "atoms":
-            fields = stripped.split()
+            fields = line.split()
             if len(fields) == 2 and fields[1] == quasiset.MACRO:
                 name, sp = fields[0], None
             elif len(fields) == 3 and fields[1] == quasiset.MICRO:
@@ -141,12 +143,10 @@ def parse_universe(text: str) -> quasiset.Universe:
                 raise ParseError(f"unregistered species {sp!r}", lineno, columns[2])
             atoms.append(quasiset.Atom(name, fields[1], sp))
         else:  # qsets
-            if "=" not in stripped:
+            name_part, eq, members_part = line.partition("=")
+            if not eq or len(name_part.split()) != 1:
                 raise ParseError("qset entry must be '<name> = <members...>'", lineno)
-            name_part, members_part = stripped.split("=", 1)
             name = name_part.strip()
-            if not name or len(name.split()) != 1:
-                raise ParseError("qset entry must be '<name> = <members...>'", lineno)
             if name in lines:
                 raise ParseError(f"duplicate name {name!r}", lineno, columns[0])
             qsets[name] = members_part.split()
@@ -162,44 +162,30 @@ def parse_universe(text: str) -> quasiset.Universe:
 def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
     """Parse the degree-table format into (sources, row-major matrix)."""
     sources: list[str] = []
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    section = header_line = pid_line = None
-    for lineno, line in _content_lines(text):
-        stripped = line.strip()
-        if stripped.startswith("sources:"):
-            section = "sources"
-            header_line = header_line or lineno
-            sources.extend(stripped.split(":", 1)[1].split())
-            continue
-        if stripped.startswith("pid:"):
-            section = "pid"
-            pid_line = pid_line or lineno
-            if stripped.split(":", 1)[1].strip():
-                raise ParseError("matrix rows go on their own lines", lineno)
-            continue
+    rows: list[tuple[int, list[float]]] = []  # (line, row)
+    headers: dict[str, int] = {}  # the first line of each header
+    for section, lineno, line, start in _sections(text, "sources", "sources", "pid"):
+        if start:
+            headers.setdefault(section, lineno)
         if section == "sources":
-            sources.extend(stripped.split())
-        elif section == "pid":
+            sources.extend(line[start:].split())
+        elif not start:
             try:
-                rows.append([float(tok) for tok in stripped.split()])
+                rows.append((lineno, [float(tok) for tok in line.split()]))
             except ValueError:
-                raise ParseError(f"bad matrix row {stripped!r}", lineno) from None
-            row_lines.append(lineno)
-        else:
-            raise ParseError(f"expected a section header, got {stripped!r}", lineno)
+                raise ParseError(f"bad matrix row {line.strip()!r}", lineno) from None
     if not sources:
-        if header_line is None:
+        if "sources" not in headers:
             raise ParseError("missing 'sources:' section", 1)
-        raise ParseError("empty 'sources:' section", header_line)
+        raise ParseError("empty 'sources:' section", headers["sources"])
     # A bad or extra row is reported at its own line, missing rows at the header.
     n = len(sources)
-    for i, (row, lineno) in enumerate(zip(rows, row_lines)):
+    for i, (lineno, row) in enumerate(rows):
         if i == n or len(row) != n:
             raise ParseError(f"matrix must be {n}x{n}", lineno)
     if len(rows) < n:
-        raise ParseError(f"matrix must be {n}x{n}", pid_line or header_line)
-    return sources, rows
+        raise ParseError(f"matrix must be {n}x{n}", headers.get("pid", headers["sources"]))
+    return sources, [row for _, row in rows]
 
 
 # -- output -------------------------------------------------------------------
@@ -276,7 +262,7 @@ class _DictRows:
         self.columns = columns
 
     def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
+        return len(next(iter(self.columns.values()), ()))  # no columns: no rows
 
     def __getitem__(self, span: slice) -> _DictRows:
         return _DictRows({key: column[span] for key, column in self.columns.items()})

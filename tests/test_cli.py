@@ -330,6 +330,25 @@ class TestParsers:
             parse_pid_table("sources: s1 s2\npid:\n  1.0 x\n  0.5 1.0\n")
         assert err.value.line == 3
 
+    def test_universe_qset_entry_without_equals(self):
+        with pytest.raises(ParseError, match="qset entry must be '<name> = <members...>'") as err:
+            parse_universe("species: s\natoms:\n  a micro s\nqsets:\n  x a\n")
+        assert (err.value.line, err.value.column) == (5, 1)
+
+    def test_pid_table_headers_take_space_before_the_colon(self):
+        # Both formats share one header rule: 'sources :' opens its section as 'species :' does.
+        assert parse_pid_table("sources : a\npid:\n  1.0\n") == (["a"], [[1.0]])
+        assert parse_pid_table("sources: a\npid :\n  1.0\n") == (["a"], [[1.0]])
+
+    def test_pid_table_inline_row_exits_2(self, tmp_path):
+        path = tmp_path / "inline_row.pid"
+        path.write_text("sources: a\npid: 1.0\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["bridge", str(path)], stdout=out, stderr=err) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "parse error at line 2, column 1: section 'pid' takes no inline entries\n")
+
 
 class TestDeepNestingAndErrors:
     @pytest.mark.parametrize("members_first", [True, False])
@@ -857,6 +876,9 @@ class TestColumnReportBytes:
         report = {"k": value, "nested": {"%": [value]}}
         assert _written(report) == json.dumps(
             {"k": expected, "nested": {"%": [expected]}}, indent=2)
+
+    def test_dict_rows_without_columns(self):
+        assert _written({"k": cli._DictRows({})}) == json.dumps({"k": []}, indent=2)
 
     def test_zwm_sweep_builds_no_rows(self, monkeypatch):
         from indist import zwm

@@ -195,6 +195,10 @@ class TestFringeScan:
         assert min(rates) == pytest.approx(0.0, abs=1e-12)
         assert scan.visibility == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_field_raises(self):
+        with pytest.raises(ZeroField):
+            fringe_scan(DensityOperator2(0.64, 0.36, 0.24), 0, 8)
+
     def test_worked_example_visibility(self):
         scan = fringe_scan(DensityOperator2(0.64, 0.36, 0.24), 1.0, 1024)
         assert scan.visibility == pytest.approx(0.48, abs=1e-6)

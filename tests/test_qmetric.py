@@ -293,6 +293,10 @@ class TestFromPidTable:
         with pytest.raises(MalformedTable):
             from_pid_table(["s1", "s2"], pid)
 
+    def test_no_sources(self):
+        with pytest.raises(MalformedTable, match="no sources"):
+            from_pid_table([], [])
+
     def test_duplicate_sources(self):
         with pytest.raises(MalformedTable):
             from_pid_table(["s", "s"], [[1.0, 1.0], [1.0, 1.0]])

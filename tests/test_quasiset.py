@@ -116,6 +116,10 @@ class TestExtIdentity:
         assert indist(photons, a_only, b_only)
         assert not ext_identity(photons, a_only, b_only)
 
+    def test_unknown_term(self, photons):
+        with pytest.raises(UnknownTerm, match="unknown term 'zz'"):
+            ext_identity(photons, "a", "zz")
+
     def test_micro_atoms_never_ext_identical(self, photons):
         assert not ext_identity(photons, "a", "a")
         assert not ext_identity(photons, "a", "b")
@@ -245,6 +249,12 @@ class TestPermutationTheorem:
             permutation_theorem_check(photons, "x", "a", "b")  # w already in x
         with pytest.raises(PreconditionViolated):
             permutation_theorem_check(mixed, "holder", "big", "p1")  # z not micro
+
+    def test_w_preconditions(self, photons, mixed):
+        with pytest.raises(PreconditionViolated, match="w = 'y' is not an atom"):
+            permutation_theorem_check(photons, "x", "a", "y")  # w a qset
+        with pytest.raises(PreconditionViolated, match="w = 'e1' is not indistinguishable"):
+            permutation_theorem_check(mixed, "sa", "p1", "e1")  # w of another species
 
     def test_anonymous_x(self, photons):
         report = permutation_theorem_check(photons, frozenset({"a", "c"}), "a", "b")
