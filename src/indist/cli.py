@@ -345,15 +345,9 @@ def _density_dict(rho: onephoton.DensityOperator2) -> dict:
 # owns stdout, stderr and the --out file.
 
 
-def _valid_density(args) -> onephoton.DensityOperator2:
-    from . import onephoton
-    rho = onephoton.DensityOperator2(rho11=args.rho11, rho22=args.rho22,
-                                     rho12=complex(args.rho12_re, args.rho12_im))
-    issues = onephoton.validate_density(rho)
-    if issues:
-        raise CliExit(EXIT_INVALID_INPUT, "invalid density: " + "; ".join(
-            f"{issue.invariant} residual {issue.residual!r}" for issue in issues))
-    return rho
+def _density(args) -> onephoton.DensityOperator2:
+    from .onephoton import DensityOperator2
+    return DensityOperator2(args.rho11, args.rho22, complex(args.rho12_re, args.rho12_im))
 
 
 def _read(path: str, what: str, parse):
@@ -372,11 +366,13 @@ def _read(path: str, what: str, parse):
 
 def cmd_decompose(args) -> tuple[int, str]:
     from . import onephoton
-    rho = _valid_density(args)
-    try:
+    rho = _density(args)
+    try:  # mandel_decompose checks validity before degeneracy: exit 2 comes before exit 3
         dec = onephoton.mandel_decompose(rho)
         coh = onephoton.coherence_functions(rho, 1.0)
         vis = onephoton.visibility_vs_pid(rho)
+    except onephoton.InvalidDensity as exc:
+        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
     except onephoton.DegenerateSource as exc:
         raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
 
@@ -414,8 +410,6 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
         raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: the squared pump amplitudes overflow")
     if norm <= 0 or alpha == 0 or beta == 0:
         raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: both pump amplitudes must be nonzero")
-    if args.steps < 2:
-        raise CliExit(EXIT_INVALID_INPUT, f"steps must be >= 2, got {args.steps}")
     scale = math.sqrt(norm)
     setup = zwm.ZwmSetup(pump_alpha=alpha / scale, pump_beta=beta / scale,
                          idler_transmission=1.0)
@@ -426,6 +420,8 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
         raise CliExit(EXIT_INVALID_INPUT, f"bad amplitudes: {exc}") from None
     except onephoton.DegenerateSource as exc:
         raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
+    except ValueError as exc:  # too few steps; after the two ValueError subclasses above
+        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
 
     names = [field.name for field in fields(zwm.SweepRow)]
     if args.output == "csv":
@@ -438,10 +434,10 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
 
 def cmd_fringes(args) -> tuple[int, str]:
     from . import onephoton
-    rho = _valid_density(args)
-    if args.samples < 8:
-        raise CliExit(EXIT_INVALID_INPUT, f"samples must be >= 8, got {args.samples}")
-    scan = onephoton.fringe_scan(rho, 1.0, args.samples)
+    try:
+        scan = onephoton.fringe_scan(_density(args), 1.0, args.samples)
+    except ValueError as exc:  # an invalid density, or too few samples
+        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
 
     if args.output == "csv":
         lines = "%r,%r\n" * args.samples % tuple(chain.from_iterable(scan.samples))
@@ -612,6 +608,9 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
     except CliExit as exc:
         stderr.write(f"{exc.line}\n")
         return exc.code
+    except MemoryError:  # a --steps or --samples too large for this host
+        stderr.write("out of memory\n")
+        return EXIT_INVALID_INPUT
     return status
 
 

@@ -172,8 +172,8 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
 def _require_valid(rho: DensityOperator2) -> None:
     issues = validate_density(rho)
     if issues:
-        detail = ", ".join(f"{i.invariant} (residual {i.residual!r})" for i in issues)
-        raise InvalidDensity(f"invalid density operator: {detail}")
+        raise InvalidDensity("invalid density: " + "; ".join(
+            f"{issue.invariant} residual {issue.residual!r}" for issue in issues))
 
 
 def _require_nondegenerate(rho: DensityOperator2) -> None:
@@ -251,7 +251,7 @@ def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> Frin
     if k_const == 0:
         raise ZeroField("k_const must be nonzero")
     if n_samples < 8:
-        raise ValueError(f"n_samples must be >= 8, got {n_samples}")
+        raise ValueError(f"samples must be >= 8, got {n_samples}")
 
     k2 = abs(k_const) ** 2
     g12 = k2 * complex(rho.rho12).conjugate()

@@ -79,7 +79,8 @@ class _RowTable(Mapping):
         self.index = {name: i for i, name in enumerate(carrier)}
 
     def __getitem__(self, pair: tuple[str, str]) -> float:
-        a, b = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, pair)
+        # Any other key is hashed (TypeError if it cannot be, as in a dict), then not found.
+        a, b = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, object())
         try:
             return self.rows[self.index[a]][self.index[b]]
         except KeyError:

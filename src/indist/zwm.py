@@ -96,11 +96,12 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     ``zwm_signal_state`` -> ``onephoton.visibility_vs_pid`` ->
     ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
     Only tau changes along the grid, so the pump split is validated and the
-    populations are checked once here; each row checks only |tau|, and the
-    first row over the bound raises.  Its rho12 needs no positivity check:
-    |rho12| / sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1
-    within a few ulp, so the relative excess is a few ulp, far below
-    ``onephoton.ANALYTIC_TOL``.
+    source weights are checked for support once here; each row checks only
+    |tau|, and the first row over the bound raises.  No row needs a density
+    check.  The pump check bounds |rho11 + rho22 - 1| by the same float sum,
+    and AMPLITUDE_TOL == ``onephoton.ANALYTIC_TOL``.  And |rho12| /
+    sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1 within a
+    few ulp, so the relative positivity excess is far below that tolerance.
     """
     _require_valid(setup)
     if steps < 2:
@@ -113,9 +114,7 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     b = complex(setup.pump_beta)
     rho11 = abs(a) ** 2
     rho22 = abs(b) ** 2
-    populations = DensityOperator2(rho11, rho22, 0j)
-    onephoton._require_valid(populations)
-    onephoton._require_nondegenerate(populations)
+    onephoton._require_nondegenerate(DensityOperator2(rho11, rho22, 0j))
     ab = a * b.conjugate()
     geo = math.sqrt(rho11 * rho22)
     two_geo = 2.0 * geo

@@ -405,6 +405,38 @@ class TestOpticsInputErrors:
         assert cp.stderr.count("\n") == 1
 
 
+class TestModelOwnsDensityText:
+    """decompose and fringes print the model's InvalidDensity text as it stands."""
+
+    @pytest.mark.parametrize("rho,line", [
+        ((1e-12, 0.999999999999, 1.4e-6),
+         "invalid density: positivity residual 9.600000000009998e-13"),
+        ((0.3, 0.3, 0.5), "invalid density: trace residual 0.4; positivity residual 0.16"),
+    ])
+    def test_mandel_decompose_raises_the_cli_line(self, rho, line):
+        from indist import onephoton
+        with pytest.raises(onephoton.InvalidDensity) as exc:
+            onephoton.mandel_decompose(onephoton.DensityOperator2(*rho))
+        assert str(exc.value) == line
+        for command in ("decompose", "fringes"):
+            err = io.StringIO()
+            argv = [command, "--rho11", repr(rho[0]), "--rho22", repr(rho[1]),
+                    "--rho12-re", repr(rho[2])]
+            assert cli.main(argv, stdout=io.StringIO(), stderr=err) == 2
+            assert err.getvalue() == line + "\n"
+
+
+class TestOutOfMemory:
+    def test_too_many_samples_end_in_one_line(self):
+        # The child caps its own address space at 512 MiB before it runs main.
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (512 << 20,) * 2); "
+                "from indist import cli; sys.exit(cli.main(sys.argv[1:]))")
+        cp = subprocess.run([sys.executable, "-c", code, "fringes", "--rho11", "0.5", "--rho22",
+                             "0.5", "--samples", "50000000", "--output", "csv"],
+                            capture_output=True, text=True, timeout=300)
+        assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", "out of memory\n")
+
+
 class TestVersionFlag:
     def test_version(self):
         cp = run_cli("--version")
@@ -597,6 +629,16 @@ def pooled_rows(draw):
 def _written(value) -> str:
     from json.encoder import encode_basestring_ascii
     return "".join(cli._json_chunks(value, encode_basestring_ascii))
+
+
+class TestUnserializableValue:
+    def test_raises_the_text_of_json_dumps(self):
+        value = {"k": object()}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as exc:
+            _written(value)
+        assert str(exc.value) == str(expected.value)
 
 
 class TestColumnarWriter:
@@ -1073,6 +1115,9 @@ ERROR_PATHS = [
     ("qset-check {tmp}/unknowns.univ", 2,
      "parse error at line 7, column 1: qset 'x' references unknown term 'r'\n"),
     ("bridge {tmp}/dup_source.pid", 2, "malformed table: duplicate source name 'a'\n"),
+    # Two faults: zwm checks the pump before the step count.
+    ("zwm-sweep --alpha 1e-160 --beta 1e-160 --steps 1", 2,
+     "bad amplitudes: pump amplitudes square-sum to "),
 ]
 
 

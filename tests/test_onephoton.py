@@ -239,6 +239,10 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             fringe_scan(DensityOperator2(0.5, 0.5, 0j), 1.0, 7)
 
+    def test_too_few_samples_message_is_the_cli_line(self):
+        with pytest.raises(ValueError, match=r"^samples must be >= 8, got 4$"):
+            fringe_scan(DensityOperator2(0.5, 0.5, 0j), 1.0, 4)
+
 
 class TestVisibilityVsPid:
     def test_balanced_sources_give_equality(self):

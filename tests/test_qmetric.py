@@ -488,6 +488,19 @@ class TestBridgeSpaceStorage:
                 plain[key]
             assert exc.value.args == plain_exc.value.args == (key,)
 
+    def test_view_finds_no_bare_name(self):
+        space, _ = from_pid_table(["s1", "s2"], [[1.0, 0.5], [0.5, 1.0]])
+        view, plain = space.base.distances, dict(space.base.distances)
+        assert "s1" not in view and view.get("s1") is None
+        with pytest.raises(KeyError) as exc:
+            view["s1"]
+        assert exc.value.args == ("s1",)
+        for key in [["s1"], (["s1"], "s2"), (["s1"], "s2", "s1")]:  # unhashable
+            with pytest.raises(TypeError):
+                view[key]
+            with pytest.raises(TypeError):
+                plain[key]
+
     def test_user_dict_space_is_unchanged(self):
         d = {("a", "a"): 0.0, ("a", "b"): 0.25, ("b", "a"): 0.25, ("b", "b"): 0.0}
         space = QuasiMetricSpace(("a", "b"), d)

@@ -4,12 +4,15 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from indist import zwm
 from indist.onephoton import (
     DegenerateSource,
+    DensityOperator2,
     degree_of_indistinguishability,
     fringe_scan,
+    validate_density,
     visibility_vs_pid,
 )
 from indist.zwm import InvalidSetup, SweepRow, ZwmSetup, sweep_transmission, whichway_coincidence_prob, zwm_signal_state
@@ -141,3 +144,18 @@ def test_overlap_law(split, t, pump_phase, tau_phase):
     rho = zwm_signal_state(setup)
     assert abs(degree_of_indistinguishability(rho) - t) <= 1e-12
     assert abs(whichway_coincidence_prob(setup) - (1.0 - t * t)) <= 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(parts=st.tuples(*[st.floats(-1.0, 1.0)] * 4), scale=st.floats(1 - 2e-12, 1 + 2e-12))
+def test_accepted_pump_gives_valid_populations(parts, scale):
+    """sweep_columns runs no density check: every pump zwm accepts has valid populations."""
+    a, b = complex(*parts[:2]), complex(*parts[2:])
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2) or 1.0
+    setup = ZwmSetup(a / norm * scale, b / norm * scale, 1.0)
+    try:
+        zwm._require_valid(setup)
+    except InvalidSetup:
+        return
+    a, b = complex(setup.pump_alpha), complex(setup.pump_beta)
+    assert validate_density(DensityOperator2(abs(a) ** 2, abs(b) ** 2, 0j)) == []
