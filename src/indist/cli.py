@@ -402,10 +402,7 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
     alpha, beta = args.alpha, args.beta
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: pump amplitudes must be finite")
-    try:
-        norm = alpha ** 2 + beta ** 2
-    except OverflowError:
-        norm = math.inf
+    norm = onephoton._abs2(alpha) + onephoton._abs2(beta)
     if norm == math.inf:
         raise CliExit(EXIT_INVALID_INPUT, "bad amplitudes: the squared pump amplitudes overflow")
     if norm <= 0 or alpha == 0 or beta == 0:

@@ -52,7 +52,7 @@ class DegenerateSource(ValueError):
 
 
 class ZeroField(ValueError):
-    """Field constant K is zero; coherence functions are all trivially zero."""
+    """|K|^2 of the field constant K is not a nonzero finite float (zero, overflow or NaN)."""
 
 
 class OnePhotonState(NamedTuple):
@@ -123,22 +123,35 @@ class VisibilityComparison(NamedTuple):
     ratio: float
 
 
+def _abs2(x: complex) -> float:
+    """|x|^2, or inf where it overflows a float: the one overflow rule of the model."""
+    try:
+        return abs(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _field_k2(k_const: complex) -> float:
+    """|K|^2 of the field constant, which must be a nonzero finite float (else ZeroField)."""
+    k2 = _abs2(k_const)
+    if not 0.0 < k2 < math.inf:
+        raise ZeroField(f"|k_const|^2 must be a nonzero finite float, got {k2!r}")
+    return k2
+
+
 def make_pure_state(psi: OnePhotonState) -> DensityOperator2:
     """Density operator |psi><psi| of a pure two-source state.
 
     Raises NotNormalized when |alpha|^2 + |beta|^2 strays from 1 by more
     than INPUT_TOL.
     """
-    norm = abs(psi.alpha) ** 2 + abs(psi.beta) ** 2
+    rho11, rho22 = _abs2(psi.alpha), _abs2(psi.beta)
+    norm = rho11 + rho22
     if not math.isfinite(norm) or abs(norm - 1.0) > INPUT_TOL:
         raise NotNormalized(
             f"|alpha|^2 + |beta|^2 = {norm!r}, deviates from 1 by more than {INPUT_TOL}"
         )
-    return DensityOperator2(
-        rho11=abs(psi.alpha) ** 2,
-        rho22=abs(psi.beta) ** 2,
-        rho12=complex(psi.alpha) * complex(psi.beta).conjugate(),
-    )
+    return DensityOperator2(rho11, rho22, complex(psi.alpha) * complex(psi.beta).conjugate())
 
 
 def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[DensityIssue]:
@@ -148,7 +161,7 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     |rho12|^2 - rho11*rho22 (the reported residual) exceeds ``tol`` or when
     |rho12| > sqrt(rho11*rho22) * (1 + tol), so tiny weights hide no excess.
     Non-finite entries short-circuit into a single "finite" issue; a
-    |rho12|^2 too large for a float is a positivity excess of inf.
+    |rho12|^2 that overflows (|rho12| itself may too) is an excess of inf.
     """
     entries = (rho.rho11, rho.rho22, complex(rho.rho12).real, complex(rho.rho12).imag)
     if not all(math.isfinite(v) for v in entries):
@@ -159,11 +172,8 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     if trace_residual > tol:
         issues.append(DensityIssue("trace", trace_residual))
     product = rho.rho11 * rho.rho22
-    try:
-        mag = abs(rho.rho12)
-        positivity_excess = mag ** 2 - product
-    except OverflowError:
-        mag = positivity_excess = math.inf
+    mag2 = _abs2(rho.rho12)
+    mag, positivity_excess = (abs(rho.rho12), mag2 - product) if mag2 < math.inf else (mag2, mag2)
     if positivity_excess > tol or (product > 0.0 and mag > math.sqrt(product) * (1.0 + tol)):
         issues.append(DensityIssue("positivity", positivity_excess))
     return issues
@@ -225,11 +235,9 @@ def coherence_functions(rho: DensityOperator2, k_const: complex) -> CoherenceRep
     equals the degree of indistinguishability and does not depend on K.
     """
     _require_valid(rho)
-    if k_const == 0:
-        raise ZeroField("k_const must be nonzero")
+    k2 = _field_k2(k_const)
     _require_nondegenerate(rho)
 
-    k2 = abs(k_const) ** 2
     rho21 = complex(rho.rho12).conjugate()
     return CoherenceReport(
         gamma11=k2 * rho.rho11,
@@ -248,12 +256,10 @@ def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> Frin
     detector is coupled equally to both sources.
     """
     _require_valid(rho)
-    if k_const == 0:
-        raise ZeroField("k_const must be nonzero")
+    k2 = _field_k2(k_const)
     if n_samples < 8:
         raise ValueError(f"samples must be >= 8, got {n_samples}")
 
-    k2 = abs(k_const) ** 2
     g12 = k2 * complex(rho.rho12).conjugate()
     base = k2 * (rho.rho11 + rho.rho22)
     step = 2.0 * math.pi / n_samples

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import onephoton
-from .onephoton import DensityOperator2
+from .onephoton import DensityOperator2, _abs2
 
 AMPLITUDE_TOL = 1e-12
 
@@ -51,10 +51,12 @@ class SweepRow:
 
 
 def _require_valid(setup: ZwmSetup) -> None:
-    norm = abs(setup.pump_alpha) ** 2 + abs(setup.pump_beta) ** 2
+    norm = _abs2(setup.pump_alpha) + _abs2(setup.pump_beta)
     if not math.isfinite(norm) or abs(norm - 1.0) > AMPLITUDE_TOL:
         raise InvalidSetup(f"pump amplitudes square-sum to {norm!r}, expected 1")
-    t = abs(setup.idler_transmission)
+    tau = complex(setup.idler_transmission)
+    # abs() overflows past the largest float; where |tau|^2 does, halving tau is exact.
+    t = abs(tau) if _abs2(tau) < math.inf else 2 * abs(complex(tau.real / 2, tau.imag / 2))
     if not math.isfinite(t) or t > 1.0 + AMPLITUDE_TOL:
         raise InvalidSetup(f"idler transmission magnitude {t!r} exceeds 1")
 
@@ -95,28 +97,23 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     Each row evaluates the same expressions, in the same order, as
     ``zwm_signal_state`` -> ``onephoton.visibility_vs_pid`` ->
     ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
-    Only tau changes along the grid, so the pump split is validated and the
-    source weights are checked for support once here; each row checks only
-    |tau|, and the first row over the bound raises.  No row needs a density
-    check.  The pump check bounds |rho11 + rho22 - 1| by the same float sum,
-    and AMPLITUDE_TOL == ``onephoton.ANALYTIC_TOL``.  And |rho12| /
+    Only tau changes along the grid, so the setup is validated (by
+    ``zwm_signal_state``) and the source weights are checked for support once;
+    each row checks only |tau|, and the first row over the bound raises.  No
+    row needs a density check: the pump check bounds |rho11 + rho22 - 1| by the
+    same float sum, AMPLITUDE_TOL == ``onephoton.ANALYTIC_TOL``, and |rho12| /
     sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1 within a
     few ulp, so the relative positivity excess is far below that tolerance.
     """
-    _require_valid(setup)
+    rho = zwm_signal_state(setup)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    onephoton._require_nondegenerate(rho)
 
     t0 = abs(setup.idler_transmission)
     phase = complex(setup.idler_transmission) / t0 if t0 > 0.0 else complex(1.0)
-
-    a = complex(setup.pump_alpha)
-    b = complex(setup.pump_beta)
-    rho11 = abs(a) ** 2
-    rho22 = abs(b) ** 2
-    onephoton._require_nondegenerate(DensityOperator2(rho11, rho22, 0j))
-    ab = a * b.conjugate()
-    geo = math.sqrt(rho11 * rho22)
+    ab = complex(setup.pump_alpha) * complex(setup.pump_beta).conjugate()
+    geo = math.sqrt(rho.rho11 * rho.rho22)
     two_geo = 2.0 * geo
 
     ts = [i / (steps - 1) for i in range(steps)]
