@@ -335,8 +335,7 @@ def _json_chunks(value, esc, pad: str = ""):
 
 
 def _density_dict(rho: onephoton.DensityOperator2) -> dict:
-    r12 = complex(rho.rho12)
-    return dict(zip(DENSITY_ARGS, (rho.rho11, rho.rho22, r12.real, r12.imag)))
+    return dict(zip(DENSITY_ARGS, (rho.rho11, rho.rho22, rho.rho12.real, rho.rho12.imag)))
 
 
 # -- commands -----------------------------------------------------------------

@@ -52,7 +52,7 @@ class DegenerateSource(ValueError):
 
 
 class ZeroField(ValueError):
-    """|K|^2 of the field constant K is not a nonzero finite float (zero, overflow or NaN)."""
+    """|K|^2 is not a nonzero finite float (zero, overflow, NaN), or a rate it scales overflows."""
 
 
 class OnePhotonState(NamedTuple):
@@ -123,8 +123,17 @@ class VisibilityComparison(NamedTuple):
     ratio: float
 
 
+def _read(x, convert=lambda v: v - 0.0):
+    """x as the model reads a number: convert(x), where the default keeps a float's bits (and
+    a zero's sign), makes an int a float and parses no string; too large for a float is inf."""
+    try:
+        return convert(x)
+    except OverflowError:  # an int past the largest float
+        return convert(math.inf if x > 0 else -math.inf)
+
+
 def _abs2(x: complex) -> float:
-    """|x|^2, or inf where it overflows a float: the one overflow rule of the model."""
+    """|x|^2 of a read number, or inf where it overflows a float: the model's overflow rule."""
     try:
         return abs(x) ** 2
     except OverflowError:
@@ -133,7 +142,7 @@ def _abs2(x: complex) -> float:
 
 def _field_k2(k_const: complex) -> float:
     """|K|^2 of the field constant, which must be a nonzero finite float (else ZeroField)."""
-    k2 = _abs2(k_const)
+    k2 = _abs2(_read(k_const))
     if not 0.0 < k2 < math.inf:
         raise ZeroField(f"|k_const|^2 must be a nonzero finite float, got {k2!r}")
     return k2
@@ -145,13 +154,14 @@ def make_pure_state(psi: OnePhotonState) -> DensityOperator2:
     Raises NotNormalized when |alpha|^2 + |beta|^2 strays from 1 by more
     than INPUT_TOL.
     """
-    rho11, rho22 = _abs2(psi.alpha), _abs2(psi.beta)
+    alpha, beta = _read(psi.alpha), _read(psi.beta)
+    rho11, rho22 = _abs2(alpha), _abs2(beta)
     norm = rho11 + rho22
     if not math.isfinite(norm) or abs(norm - 1.0) > INPUT_TOL:
         raise NotNormalized(
             f"|alpha|^2 + |beta|^2 = {norm!r}, deviates from 1 by more than {INPUT_TOL}"
         )
-    return DensityOperator2(rho11, rho22, complex(psi.alpha) * complex(psi.beta).conjugate())
+    return DensityOperator2(rho11, rho22, complex(alpha) * complex(beta).conjugate())
 
 
 def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[DensityIssue]:
@@ -163,35 +173,40 @@ def validate_density(rho: DensityOperator2, tol: float = ANALYTIC_TOL) -> list[D
     Non-finite entries short-circuit into a single "finite" issue; a
     |rho12|^2 that overflows (|rho12| itself may too) is an excess of inf.
     """
-    entries = (rho.rho11, rho.rho22, complex(rho.rho12).real, complex(rho.rho12).imag)
-    if not all(math.isfinite(v) for v in entries):
-        return [DensityIssue("finite", math.inf)]
+    return _checked(rho, _read(tol))[1]
+
+
+def _checked(rho: DensityOperator2, tol: float) -> tuple[tuple[float, float, complex], list]:
+    """The entries (rho11, rho22, rho12) as read, and the issues validate_density reports."""
+    rho11, rho22, rho12 = entries = _read(rho.rho11), _read(rho.rho22), _read(rho.rho12, complex)
+    if not all(math.isfinite(v) for v in (rho11, rho22, rho12.real, rho12.imag)):
+        return entries, [DensityIssue("finite", math.inf)]
 
     issues = []
-    trace_residual = abs(rho.rho11 + rho.rho22 - 1.0)
+    trace_residual = abs(rho11 + rho22 - 1.0)
     if trace_residual > tol:
         issues.append(DensityIssue("trace", trace_residual))
-    product = rho.rho11 * rho.rho22
-    mag2 = _abs2(rho.rho12)
-    mag, positivity_excess = (abs(rho.rho12), mag2 - product) if mag2 < math.inf else (mag2, mag2)
+    product = rho11 * rho22
+    mag2 = _abs2(rho12)
+    mag, positivity_excess = (abs(rho12), mag2 - product) if mag2 < math.inf else (mag2, mag2)
     if positivity_excess > tol or (product > 0.0 and mag > math.sqrt(product) * (1.0 + tol)):
         issues.append(DensityIssue("positivity", positivity_excess))
-    return issues
+    return entries, issues
 
 
-def _require_valid(rho: DensityOperator2) -> None:
-    issues = validate_density(rho)
+def _require_valid(rho: DensityOperator2) -> tuple[float, float, complex]:
+    """The entries (rho11, rho22, rho12) of a valid ``rho`` as read; else InvalidDensity."""
+    entries, issues = _checked(rho, ANALYTIC_TOL)
     if issues:
         raise InvalidDensity("invalid density: " + "; ".join(
             f"{issue.invariant} residual {issue.residual!r}" for issue in issues))
+    return entries
 
 
-def _require_nondegenerate(rho: DensityOperator2) -> None:
-    if min(rho.rho11, rho.rho22) < DIAG_FLOOR:
-        raise DegenerateSource(
-            f"source weights ({rho.rho11!r}, {rho.rho22!r}) leave one source empty; "
-            "indistinguishability of the two sources is undefined"
-        )
+def _require_nondegenerate(rho11: float, rho22: float) -> None:
+    if min(rho11, rho22) < DIAG_FLOOR:
+        raise DegenerateSource(f"source weights ({rho11!r}, {rho22!r}) leave one source empty; "
+                               "indistinguishability of the two sources is undefined")
 
 
 def mandel_decompose(rho: DensityOperator2) -> MandelDecomposition:
@@ -202,24 +217,17 @@ def mandel_decompose(rho: DensityOperator2) -> MandelDecomposition:
     exactly zero the phase is fixed to 0; the choice is unobservable because
     p_id is then 0.
     """
-    _require_valid(rho)
-    _require_nondegenerate(rho)
+    rho11, rho22, rho12 = _require_valid(rho)
+    _require_nondegenerate(rho11, rho22)
 
-    geo = math.sqrt(rho.rho11 * rho.rho22)
-    mag = abs(rho.rho12)
+    geo = math.sqrt(rho11 * rho22)
+    mag = abs(rho12)
     # Positivity slack can push mag a hair over geo; p_id is a probability.
     p_id = min(mag / geo, 1.0)
     p_d = 1.0 - p_id
-    if mag == 0.0:
-        off = complex(geo)
-    else:
-        off = geo * (complex(rho.rho12) / mag)
-    return MandelDecomposition(
-        p_id=p_id,
-        p_d=p_d,
-        rho_id=DensityOperator2(rho.rho11, rho.rho22, off),
-        rho_d=DensityOperator2(rho.rho11, rho.rho22, 0j),
-    )
+    off = geo * (rho12 / mag) if mag != 0.0 else complex(geo)
+    return MandelDecomposition(p_id=p_id, p_d=p_d, rho_id=DensityOperator2(rho11, rho22, off),
+                               rho_d=DensityOperator2(rho11, rho22, 0j))
 
 
 def degree_of_indistinguishability(rho: DensityOperator2) -> float:
@@ -234,18 +242,14 @@ def coherence_functions(rho: DensityOperator2, k_const: complex) -> CoherenceRep
     and the normalized gamma12 is rho21 / sqrt(rho11*rho22), whose modulus
     equals the degree of indistinguishability and does not depend on K.
     """
-    _require_valid(rho)
+    rho11, rho22, rho12 = _require_valid(rho)
     k2 = _field_k2(k_const)
-    _require_nondegenerate(rho)
+    _require_nondegenerate(rho11, rho22)
 
-    rho21 = complex(rho.rho12).conjugate()
-    return CoherenceReport(
-        gamma11=k2 * rho.rho11,
-        gamma22=k2 * rho.rho22,
-        gamma12=k2 * rho21,
-        gamma12_normalized=rho21 / math.sqrt(rho.rho11 * rho.rho22),
-        k_const=complex(k_const),
-    )
+    rho21 = rho12.conjugate()
+    return CoherenceReport(gamma11=k2 * rho11, gamma22=k2 * rho22, gamma12=k2 * rho21,
+                           gamma12_normalized=rho21 / math.sqrt(rho11 * rho22),
+                           k_const=complex(k_const))
 
 
 def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> FringeScan:
@@ -255,17 +259,21 @@ def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> Frin
     visibility is (max - min) / (max + min) over the sampled rates.  The
     detector is coupled equally to both sources.
     """
-    _require_valid(rho)
+    rho11, rho22, rho12 = _require_valid(rho)
     k2 = _field_k2(k_const)
     if n_samples < 8:
         raise ValueError(f"samples must be >= 8, got {n_samples}")
 
-    g12 = k2 * complex(rho.rho12).conjugate()
-    base = k2 * (rho.rho11 + rho.rho22)
+    g12 = k2 * rho12.conjugate()
+    base = k2 * (rho11 + rho22)
     step = 2.0 * math.pi / n_samples
     phis = [k * step for k in range(n_samples)]
     rates = [base + 2.0 * (g12 * cmath.exp(1j * phi)).real for phi in phis]
     hi, lo = max(rates), min(rates)
+    # An inf rate is hi or lo; a NaN one is inf - inf, where base is inf and so is hi.
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ZeroField(f"|k_const|^2 = {k2!r} makes a detection rate overflow a float")
+    hi, lo = (hi / 2, lo / 2) if math.inf in (hi + lo, hi - lo) else (hi, lo)  # exact halving
     return FringeScan(samples=tuple(zip(phis, rates)), visibility=(hi - lo) / (hi + lo))
 
 
@@ -291,6 +299,8 @@ def random_density(rng: Random, min_diag: float = 1e-6) -> DensityOperator2:
     falls under ``min_diag``.  Validity holds by construction: convex mixes
     of unit-trace positive operators stay unit-trace positive.
     """
+    if not min_diag < 0.5:  # the lighter of two weights summing to 1 never exceeds 0.5
+        raise ValueError("min_diag must be below 0.5, or no draw is ever accepted")
     while True:
         a = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         b = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))

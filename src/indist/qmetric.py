@@ -343,23 +343,27 @@ def from_pid_table(
     hi = 1.0 + tol
     rows: list[tuple[float, ...]] = []
     adjacency: dict[str, list[str]] = {name: [] for name in names}
-    for i, (a, row) in enumerate(zip(names, pid)):
-        d_row: list[float] = []
-        for j, (b, v) in enumerate(zip(names, row)):
-            v = float(v)
-            d = 1.0 - v
-            if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
-                raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
-            d_row.append(d)
-            if j > i:
-                if abs(v - pid[j][i]) > tol:
-                    raise MalformedTable(f"asymmetry at ({i}, {j})")
-                if d <= tol:
-                    adjacency[a].append(b)
-                    adjacency[b].append(a)
-        if abs(row[i] - 1.0) > tol:
-            raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
-        rows.append(tuple(d_row))
+    try:
+        for i, (a, row) in enumerate(zip(names, pid)):
+            d_row: list[float] = []
+            for j, (b, v) in enumerate(zip(names, row)):
+                v = float(v)
+                d = 1.0 - v
+                if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
+                    raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
+                d_row.append(d)
+                if j > i:
+                    if abs(v - pid[j][i]) > tol:
+                        raise MalformedTable(f"asymmetry at ({i}, {j})")
+                    if d <= tol:
+                        adjacency[a].append(b)
+                        adjacency[b].append(a)
+            if abs(row[i] - 1.0) > tol:
+                raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
+            rows.append(tuple(d_row))
+    except OverflowError:  # an int past the largest float: v, or pid[j][i] read for symmetry
+        at = (j, i) if isinstance(v, float) else (i, j)
+        raise MalformedTable(f"value at {at} outside [0, 1]: too large for a float") from None
     base = QuasiMetricSpace(tuple(names), _RowTable(tuple(names), tuple(rows)))
 
     # Species = connected components of the zero-distance graph, each
@@ -411,8 +415,9 @@ def _zero_tree(adjacency: Mapping[str, Sequence[str]], start: str) -> dict[str, 
 
 def _check_unit(*values: float) -> None:
     for v in values:
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise OutOfRange(f"value {v!r} outside [0, 1]")
+        if not 0.0 <= v <= 1.0:  # compared as given: NaN, inf and ints past the floats fail too
+            n = v.bit_length() if isinstance(v, int) else 0  # repr may pass the digit limit
+            raise OutOfRange(f"value {f'of {n} bits' if n > 1024 else repr(v)} outside [0, 1]")
 
 
 def heyting_meet(a: float, b: float) -> float:

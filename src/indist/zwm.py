@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 from . import onephoton
-from .onephoton import DensityOperator2, _abs2
+from .onephoton import DensityOperator2, _abs2, _read
 
-AMPLITUDE_TOL = 1e-12
+AMPLITUDE_TOL = onephoton.ANALYTIC_TOL  # one bound, so sweep_columns may skip the density check
 
 
 class InvalidSetup(ValueError):
@@ -50,15 +50,23 @@ class SweepRow:
     coincidence_id_prob: float
 
 
-def _require_valid(setup: ZwmSetup) -> None:
-    norm = _abs2(setup.pump_alpha) + _abs2(setup.pump_beta)
+def _require_valid(setup: ZwmSetup) -> tuple[complex, complex, complex]:
+    """The setup's (alpha, beta, tau) as read, once the pump split and |tau| pass."""
+    alpha, beta = _read(setup.pump_alpha), _read(setup.pump_beta)
+    norm = _abs2(alpha) + _abs2(beta)
     if not math.isfinite(norm) or abs(norm - 1.0) > AMPLITUDE_TOL:
         raise InvalidSetup(f"pump amplitudes square-sum to {norm!r}, expected 1")
-    tau = complex(setup.idler_transmission)
+    tau = _read(setup.idler_transmission, complex)
     # abs() overflows past the largest float; where |tau|^2 does, halving tau is exact.
     t = abs(tau) if _abs2(tau) < math.inf else 2 * abs(complex(tau.real / 2, tau.imag / 2))
     if not math.isfinite(t) or t > 1.0 + AMPLITUDE_TOL:
         raise InvalidSetup(f"idler transmission magnitude {t!r} exceeds 1")
+    return complex(alpha), complex(beta), tau
+
+
+def _signal_state(a: complex, b: complex, tau: complex) -> DensityOperator2:
+    """The one signal-state formula, on (alpha, beta, tau) as _require_valid returns them."""
+    return DensityOperator2(abs(a) ** 2, abs(b) ** 2, a * b.conjugate() * tau.conjugate())
 
 
 def zwm_signal_state(setup: ZwmSetup) -> DensityOperator2:
@@ -67,15 +75,7 @@ def zwm_signal_state(setup: ZwmSetup) -> DensityOperator2:
     The pump coherence alpha*conj(beta) survives only to the extent the two
     idler modes overlap, which is what makes the experiment a which-way knob.
     """
-    _require_valid(setup)
-    a = complex(setup.pump_alpha)
-    b = complex(setup.pump_beta)
-    tau = complex(setup.idler_transmission)
-    return DensityOperator2(
-        rho11=abs(a) ** 2,
-        rho22=abs(b) ** 2,
-        rho12=a * b.conjugate() * tau.conjugate(),
-    )
+    return _signal_state(*_require_valid(setup))
 
 
 def whichway_coincidence_prob(setup: ZwmSetup) -> float:
@@ -84,8 +84,7 @@ def whichway_coincidence_prob(setup: ZwmSetup) -> float:
     This equals p_d = 1 - p_id only at |tau| in {0, 1}; it is reported
     separately so the two notions stay visibly distinct.
     """
-    _require_valid(setup)
-    return 1.0 - abs(setup.idler_transmission) ** 2
+    return 1.0 - abs(_require_valid(setup)[2]) ** 2
 
 
 def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
@@ -97,22 +96,22 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     Each row evaluates the same expressions, in the same order, as
     ``zwm_signal_state`` -> ``onephoton.visibility_vs_pid`` ->
     ``whichway_coincidence_prob`` on the setup with idler overlap ``t * phase``.
-    Only tau changes along the grid, so the setup is validated (by
-    ``zwm_signal_state``) and the source weights are checked for support once;
-    each row checks only |tau|, and the first row over the bound raises.  No
-    row needs a density check: the pump check bounds |rho11 + rho22 - 1| by the
-    same float sum, AMPLITUDE_TOL == ``onephoton.ANALYTIC_TOL``, and |rho12| /
-    sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1 within a
-    few ulp, so the relative positivity excess is far below that tolerance.
+    Only tau changes along the grid, so the setup and the source weights are
+    checked once and each row checks only |tau|; the first row over the bound
+    raises.  No row needs a density check: the pump check bounds |rho11 +
+    rho22 - 1| by the same float sum and tolerance, and |rho12| /
+    sqrt(rho11*rho22) = |tau| = t*|phase| <= |phase|, which is 1 within a few
+    ulp, so the relative positivity excess is far below that tolerance.
     """
-    rho = zwm_signal_state(setup)
+    alpha, beta, tau = _require_valid(setup)
+    rho = _signal_state(alpha, beta, tau)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    onephoton._require_nondegenerate(rho)
+    onephoton._require_nondegenerate(rho.rho11, rho.rho22)
 
-    t0 = abs(setup.idler_transmission)
-    phase = complex(setup.idler_transmission) / t0 if t0 > 0.0 else complex(1.0)
-    ab = complex(setup.pump_alpha) * complex(setup.pump_beta).conjugate()
+    t0 = abs(tau)
+    phase = tau / t0 if t0 > 0.0 else complex(1.0)
+    ab = alpha * beta.conjugate()
     geo = math.sqrt(rho.rho11 * rho.rho22)
     two_geo = 2.0 * geo
 
@@ -122,7 +121,7 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     # NaN is not within the bound either; the full check raises at the first row out.
     within = list(map((1.0 + AMPLITUDE_TOL).__ge__, tau_mags))
     if False in within:
-        _require_valid(ZwmSetup(setup.pump_alpha, setup.pump_beta, taus[within.index(False)]))
+        _require_valid(ZwmSetup(alpha, beta, taus[within.index(False)]))
     p_ids = [min(abs(ab * tau.conjugate()) / geo, 1.0) for tau in taus]
     return ts, p_ids, [two_geo * p_id for p_id in p_ids], [1.0 - m ** 2 for m in tau_mags]
 

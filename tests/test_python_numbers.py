@@ -1,0 +1,255 @@
+"""Python ints and bools reach the library as numbers, and it raises only its own errors.
+
+``onephoton._read`` is the model's one reading rule: a number reads as a float
+(or, for rho12 and tau, a complex), and one too large for a float reads as inf
+of its sign, so the finite and overflow checks see it.  The validators return
+what they read.  The pool here adds to the float pool of
+``test_library_errors`` the ints a user may pass: small ones, one past 2**53,
+and ones past the largest float.  Counts and ``random_density``'s ``min_diag``
+may also raise the plain ``ValueError`` that names them.
+"""
+
+import inspect
+import math
+import signal
+import typing
+from contextlib import contextmanager
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from indist import onephoton, qmetric, zwm
+from indist.onephoton import (
+    DensityOperator2,
+    InvalidDensity,
+    NotNormalized,
+    OnePhotonState,
+    ZeroField,
+    coherence_functions,
+    fringe_scan,
+    make_pure_state,
+    mandel_decompose,
+    random_density,
+    validate_density,
+)
+from indist.qmetric import MalformedTable, OutOfRange, from_pid_table, heyting_meet
+from indist.zwm import InvalidSetup, ZwmSetup, sweep_columns, whichway_coincidence_prob, zwm_signal_state
+
+RHO = DensityOperator2(0.64, 0.36, 0.24)
+
+INTS = [0, 1, -1, 2**53 + 1, 10**200, 10**400, -10**400, True, False]
+FLOAT_POOL = [0.0, 5e-324, 1e-170, 0.5, 1.0, 1e154, 1e308, math.nan, math.inf]
+NUMBERS = st.sampled_from(INTS + FLOAT_POOL + [-x for x in FLOAT_POOL])
+COMPLEXES = NUMBERS | st.builds(complex, NUMBERS.filter(lambda x: abs(x) < 2**1024),
+                                NUMBERS.filter(lambda x: abs(x) < 2**1024))
+# Counts around their minimum, ints and bools among them; no count large enough to allocate.
+COUNTS = st.sampled_from([8, 9, 2, 1, 0, -1, -10**400, True, False])
+# Records with valid float fields and one int field reach the checks past the first one.
+VALID = {
+    DensityOperator2: st.sampled_from([RHO, DensityOperator2(1, 0, 0), DensityOperator2(0.5, 0.5, 0),
+                                       DensityOperator2(True, False, 0j)])
+    | st.builds(DensityOperator2, st.just(0.5), st.just(0.5), NUMBERS),
+    ZwmSetup: st.builds(ZwmSetup, st.just(0.6), st.just(-0.8j), COMPLEXES)
+    | st.builds(ZwmSetup, st.sampled_from([1, True, 0.6]), st.sampled_from([0, False, 0.8]),
+                st.sampled_from(INTS)),
+}
+# The plain ValueErrors of the count and min_diag checks.
+COUNT_ERRORS = ("samples must be >= 8", "steps must be >= 2", "min_diag must be below 0.5")
+
+
+def _strategy(hint):
+    """Draw a value for a parameter or field annotated ``hint``."""
+    if hint is float:
+        return NUMBERS
+    if hint is complex:
+        return COMPLEXES
+    if hint is int:
+        return COUNTS
+    fields = st.builds(hint, *map(_strategy, typing.get_type_hints(hint).values()))
+    return fields | VALID[hint] if hint in VALID else fields
+
+
+@contextmanager
+def _deadline(seconds: int = 5):
+    """Fail, rather than hang the suite, where a call does not return."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _raises_only_own_errors(owners, fn, *args):
+    try:
+        with _deadline():
+            fn(*args)
+    except ValueError as exc:
+        if type(exc) is ValueError:
+            assert str(exc).startswith(COUNT_ERRORS), (fn.__name__, args, exc)
+        else:
+            assert type(exc).__module__ in {m.__name__ for m in owners}, (fn.__name__, args, exc)
+
+
+PUBLIC = [f for module in (onephoton, zwm) for name, f in vars(module).items()
+          if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")]
+
+
+def test_every_public_function_is_drawn():
+    assert len(PUBLIC) == 12 and random_density in PUBLIC
+
+
+@pytest.mark.parametrize("fn", PUBLIC, ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_optics_functions_read_python_numbers(fn, data):
+    if fn is random_density:  # a seeded generator, and min_diag from the pool
+        args = [Random(data.draw(st.integers(0, 99), label="seed")), data.draw(NUMBERS, label="min_diag")]
+    else:
+        hints = typing.get_type_hints(fn)
+        args = [data.draw(_strategy(hints[name]), label=name) for name in inspect.signature(fn).parameters]
+    owners = {onephoton} if fn.__module__ == onephoton.__name__ else {zwm, onephoton}
+    _raises_only_own_errors(owners, fn, *args)
+
+
+@pytest.mark.parametrize("fn", [qmetric.heyting_meet, qmetric.heyting_join,
+                                qmetric.heyting_implies, qmetric.heyting_not],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_heyting_operations_read_python_numbers(fn, data):
+    args = [data.draw(NUMBERS | st.just(10**5000)) for _ in inspect.signature(fn).parameters]
+    _raises_only_own_errors({qmetric}, fn, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_from_pid_table_reads_python_numbers(n, data):
+    values = NUMBERS | st.sampled_from([0.25, 0.75, 10**5000])
+    table = [[data.draw(values) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):  # a well-formed shape more often reaches the checks
+        for i in range(n):
+            table[i][i] = data.draw(st.sampled_from([1, 1.0, True]))
+            for j in range(i):
+                table[i][j] = table[j][i]
+    _raises_only_own_errors({qmetric}, from_pid_table, [f"s{i}" for i in range(n)], table)
+
+
+class TestIntPastTheFloats:
+    """Each call that ended in a bare OverflowError ("int too large to convert to float")."""
+
+    def test_make_pure_state(self):
+        with pytest.raises(NotNormalized, match=r"= inf, deviates"):
+            make_pure_state(OnePhotonState(10**200, 0))
+
+    def test_zwm_pump(self):
+        with pytest.raises(InvalidSetup, match=r"^pump amplitudes square-sum to inf, expected 1$"):
+            zwm_signal_state(ZwmSetup(10**200, 0, 1))
+
+    @pytest.mark.parametrize("call", [zwm_signal_state, whichway_coincidence_prob,
+                                      lambda setup: sweep_columns(setup, 3)])
+    def test_zwm_transmission(self, call):
+        with pytest.raises(InvalidSetup, match=r"^idler transmission magnitude inf exceeds 1$"):
+            call(ZwmSetup(1.0, 0, 10**400))
+
+    @pytest.mark.parametrize("rho", [DensityOperator2(10**400, 0, 0), DensityOperator2(0.5, 0.5, -10**400)])
+    def test_density(self, rho):
+        assert [tuple(issue) for issue in validate_density(rho)] == [("finite", math.inf)]
+        with pytest.raises(InvalidDensity, match=r"^invalid density: finite residual inf$"):
+            mandel_decompose(rho)
+
+    def test_field_constant(self):
+        with pytest.raises(ZeroField, match=r"^\|k_const\|\^2 must be a nonzero finite float, got inf$"):
+            coherence_functions(RHO, 10**400)
+
+    def test_heyting(self):
+        # An int past the floats is named by its size: past sys.get_int_max_str_digits()
+        # digits (4300 by default), repr() itself raises a plain ValueError.
+        with pytest.raises(OutOfRange, match=r"^value of 1329 bits outside \[0, 1\]$"):
+            heyting_meet(10**400, 0.5)
+        with pytest.raises(OutOfRange, match=r"^value of 16610 bits outside \[0, 1\]$"):
+            heyting_meet(0.5, -10**5000)
+        with pytest.raises(OutOfRange, match=r"^value 2 outside \[0, 1\]$"):
+            heyting_meet(0.5, 2)
+
+    @pytest.mark.parametrize("table,at", [([[1.0, 10**400], [10**400, 1.0]], (0, 1)),
+                                          ([[1.0, 0.5], [-10**400, 1.0]], (1, 0)),
+                                          ([[10**5000]], (0, 0))])
+    def test_pid_table_names_the_entry(self, table, at):
+        with pytest.raises(MalformedTable) as info:
+            from_pid_table(["a", "b"][:len(table)], table)
+        assert str(info.value) == f"value at {at} outside [0, 1]: too large for a float"
+
+
+class TestIntsReadAsFloats:
+    """Ints that a float holds are read as those floats, in results and in error texts."""
+
+    def test_invalid_density_text_prints_the_floats_read(self):
+        with pytest.raises(InvalidDensity, match=r"^invalid density: trace residual 1\.0; "
+                                                  r"positivity residual 1\.0$"):
+            mandel_decompose(DensityOperator2(2, 0, 1))
+
+    def test_degenerate_text_prints_the_floats_read(self):
+        with pytest.raises(onephoton.DegenerateSource, match=r"^source weights \(1\.0, 0\.0\) leave"):
+            coherence_functions(DensityOperator2(1, 0, 0), 1)
+
+    def test_int_past_2_53_reads_rounded(self):
+        issues = validate_density(DensityOperator2(2**53 + 1, 0, 0))
+        assert [tuple(issue) for issue in issues] == [("trace", float(2**53) - 1.0)]
+
+    def test_signal_state_of_ints(self):
+        assert zwm_signal_state(ZwmSetup(1, 0, True)) == (1.0, 0.0, 0j)
+
+
+@pytest.mark.parametrize("min_diag", [0.5, 0.7, 1, pytest.param(10**400, id="10**400"),
+                                      math.inf, math.nan])
+def test_random_density_rejects_an_unreachable_min_diag(min_diag):
+    with _deadline(), pytest.raises(ValueError, match=r"^min_diag must be below 0\.5"):
+        random_density(Random(0), min_diag)
+
+
+@pytest.mark.parametrize("min_diag", [pytest.param(-10**400, id="-10**400"), -math.inf, 0,
+                                      1e-6, 0.4, 0.49])
+def test_random_density_draws_as_before_where_min_diag_is_reachable(min_diag):
+    # The guard draws nothing, so a seeded generator yields what the bare loop yields.
+    rng, ref = Random(7), Random(7)
+    with _deadline():
+        rho = random_density(rng, min_diag)
+    while True:
+        a = complex(ref.gauss(0.0, 1.0), ref.gauss(0.0, 1.0))
+        b = complex(ref.gauss(0.0, 1.0), ref.gauss(0.0, 1.0))
+        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        if nrm < 1e-6:
+            continue
+        a, b = a / nrm, b / nrm
+        d11, w = ref.random(), ref.random()
+        expected = (w * abs(a) ** 2 + (1.0 - w) * d11, w * abs(b) ** 2 + (1.0 - w) * (1.0 - d11),
+                    w * a * b.conjugate())
+        if min(expected[:2]) >= min_diag:
+            break
+    assert rho == expected and rng.getstate() == ref.getstate()
+
+
+class TestFringeRateOverflow:
+    """The fringe rates scale with |K|^2, and a float holds only so much of them."""
+
+    def test_overflowing_rate_raises(self):
+        # The peak rate is 2e308, past the largest float: the visibility was NaN.
+        with pytest.raises(ZeroField, match=r"^\|k_const\|\^2 = 1e\+308 makes a detection rate overflow"):
+            fringe_scan(DensityOperator2(0.5, 0.5, 0.5), 1e154, 8)
+
+    @pytest.mark.parametrize("rho,k", [(RHO, 1e154), (RHO, -1e154j),
+                                       (DensityOperator2(0.5, 0.5, 0.1), 1.2e154)])
+    def test_visibility_of_finite_rates_whose_sum_overflows(self, rho, k):
+        # On RHO at k = 1e154 the peak rate is 1.48e308 and the trough 0.52e308: every rate
+        # is finite, but their sum overflows, and the visibility read 0.0.  It does not
+        # depend on K.
+        rates = [rate for _, rate in fringe_scan(rho, k, 8).samples]
+        assert all(map(math.isfinite, rates)) and max(rates) + min(rates) == math.inf
+        expected = fringe_scan(rho, 1.0, 8).visibility
+        assert fringe_scan(rho, k, 8).visibility == pytest.approx(expected, rel=1e-12)
