@@ -46,7 +46,7 @@ import sys
 from itertools import chain, combinations, repeat
 from operator import countOf
 from struct import Struct
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 
@@ -194,11 +194,25 @@ def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, str]:
+def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, list[str]]:
     from json.encoder import encode_basestring_ascii  # here, so CSV runs load no json
     report = {"command": args.command, "version": __version__,
               "inputs": inputs, "outputs": outputs, "status": status}
-    return status, "".join(_json_chunks(report, encode_basestring_ascii)) + "\n"
+    return status, ["".join(_json_chunks(report, encode_basestring_ascii)) + "\n"]
+
+
+def _csv(header: str, columns, footer: str = ""):
+    """Yield the header line, the columns' rows as %r texts _BLOCK rows a chunk, the footer."""
+    width, n = len(columns), len(columns[0])
+    row = ",".join(["%r"] * width) + "\n"
+    yield header + "\n"
+    flat = [None] * (width * _BLOCK)
+    for i in range(0, n, _BLOCK):
+        del flat[width * (n - i):]  # only the last block is shorter
+        for j, column in enumerate(columns):
+            flat[j::width] = column[i:i + _BLOCK]
+        yield row * (len(flat) // width) % tuple(flat)
+    yield footer
 
 
 def _floats(values, sep: str) -> str:
@@ -340,8 +354,8 @@ def _density_dict(rho: onephoton.DensityOperator2) -> dict:
 
 # -- commands -----------------------------------------------------------------
 #
-# Each command returns (exit status, output text) or raises CliExit; main
-# owns stdout, stderr and the --out file.
+# Each command returns (exit status, output chunks) or raises CliExit; main owns stdout,
+# stderr and the --out file. Checks and columns come before the first chunk.
 
 
 def _density(args) -> onephoton.DensityOperator2:
@@ -363,7 +377,7 @@ def _read(path: str, what: str, parse):
                       f"parse error at line {exc.line}, column {exc.column}: {exc}") from None
 
 
-def cmd_decompose(args) -> tuple[int, str]:
+def cmd_decompose(args) -> tuple[int, list[str]]:
     from . import onephoton
     rho = _density(args)
     try:  # mandel_decompose checks validity before degeneracy: exit 2 comes before exit 3
@@ -387,13 +401,13 @@ def cmd_decompose(args) -> tuple[int, str]:
     if args.output == "csv":
         table = {**weights, **scalars, **{f"{tag}_{key}": value for tag, part in parts.items()
                                           for key, value in part.items()}}
-        return EXIT_OK, "key,value\n" + "%s,%r\n" * len(table) % tuple(
-            chain.from_iterable(table.items()))
+        return EXIT_OK, ["key,value\n" + "%s,%r\n" * len(table) % tuple(
+            chain.from_iterable(table.items()))]
     outputs = {key: _jsonable(value) for key, value in {**weights, **parts, **scalars}.items()}
     return _json(args, {name: getattr(args, name) for name in DENSITY_ARGS}, outputs)
 
 
-def cmd_zwm_sweep(args) -> tuple[int, str]:
+def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
     from dataclasses import fields
 
     from . import onephoton, zwm
@@ -421,25 +435,22 @@ def cmd_zwm_sweep(args) -> tuple[int, str]:
 
     names = [field.name for field in fields(zwm.SweepRow)]
     if args.output == "csv":
-        row = ",".join(["%r"] * len(names)) + "\n"
-        return EXIT_OK, ",".join(names) + "\n" + row * args.steps % tuple(
-            chain.from_iterable(zip(*columns)))
+        return EXIT_OK, _csv(",".join(names), columns)
     inputs = {name: getattr(args, name) for name in ("alpha", "beta", "steps")}
     return _json(args, inputs, {"rows": _DictRows(dict(zip(names, columns)))})
 
 
-def cmd_fringes(args) -> tuple[int, str]:
+def cmd_fringes(args) -> tuple[int, Iterable[str]]:
     from . import onephoton
-    try:
-        scan = onephoton.fringe_scan(_density(args), 1.0, args.samples)
+    try:  # fringe_scan's columns, with no (phase, rate) tuple per sample
+        phis, rates, visibility = onephoton._fringe_columns(_density(args), 1.0, args.samples)
     except ValueError as exc:  # an invalid density, or too few samples
         raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
 
     if args.output == "csv":
-        lines = "%r,%r\n" * args.samples % tuple(chain.from_iterable(scan.samples))
-        return EXIT_OK, f"phase_rad,rate\n{lines}visibility,{scan.visibility!r}\n"
+        return EXIT_OK, _csv("phase_rad,rate", (phis, rates), f"visibility,{visibility!r}\n")
     inputs = {name: getattr(args, name) for name in (*DENSITY_ARGS, "samples")}
-    return _json(args, inputs, {"samples": scan.samples, "visibility": scan.visibility})
+    return _json(args, inputs, {"samples": list(zip(phis, rates)), "visibility": visibility})
 
 
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
@@ -460,7 +471,7 @@ def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
     return [[terms[i], terms[j]] for i, j in sorted(pairs)]
 
 
-def cmd_qset_check(args) -> tuple[int, str]:
+def cmd_qset_check(args) -> tuple[int, list[str]]:
     from . import quasiset
 
     universe = _read(args.universe_file, "universe", parse_universe)
@@ -489,7 +500,7 @@ def cmd_qset_check(args) -> tuple[int, str]:
     return _json(args, inputs, outputs, EXIT_OK if all_hold else EXIT_AXIOMS_FAILED)
 
 
-def cmd_bridge(args) -> tuple[int, str]:
+def cmd_bridge(args) -> tuple[int, list[str]]:
     from . import qmetric
 
     tolerance = qmetric.DEFAULT_TOL if args.tolerance is None else args.tolerance
@@ -580,27 +591,26 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
     try:
         try:
             args = build_parser().parse_args(argv)
-            out, (status, text) = args.out, args.func(args)
+            out, (status, chunks) = args.out, args.func(args)
         except _Shown as shown:
-            out, status, text = None, EXIT_OK, str(shown)
-        if out:
-            try:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise CliExit(EXIT_INVALID_INPUT, f"cannot write output file: {exc}") from None
-        elif stdout is None:  # fd 1 was closed when the interpreter started
+            out, status, chunks = None, EXIT_OK, [str(shown)]
+        if not out and stdout is None:  # fd 1 was closed when the interpreter started
             raise CliExit(EXIT_INVALID_INPUT, "cannot write output: stdout is closed")
-        else:
+        try:
+            fh = open(out, "w", encoding="utf-8") if out else stdout
             try:
-                stdout.write(text)
-                stdout.flush()
-            except OSError as exc:
-                # fd 1 goes to os.devnull, so that the exit-time flush cannot fail on it
-                # again (the Python docs' note on SIGPIPE).
-                if stdout is sys.stdout:
-                    os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
-                raise CliExit(EXIT_INVALID_INPUT, f"cannot write output: {exc}") from None
+                fh.writelines(chunks)  # a write per chunk
+                fh.flush()
+            finally:
+                if out:
+                    fh.close()
+        except OSError as exc:
+            # fd 1 goes to os.devnull, so that the exit-time flush cannot fail on it
+            # again (the Python docs' note on SIGPIPE).
+            if not out and stdout is sys.stdout:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+            raise CliExit(EXIT_INVALID_INPUT,
+                          f"cannot write output{' file' if out else ''}: {exc}") from None
     except CliExit as exc:
         stderr.write(f"{exc.line}\n")
         return exc.code

@@ -24,10 +24,11 @@ are pure functions.
 
 from __future__ import annotations
 
-import cmath
 import math
-from random import Random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from random import Random
 
 #: Below this diagonal weight a source has no support and p_id is undefined.
 DIAG_FLOOR = 1e-12
@@ -136,8 +137,8 @@ def _abs2(x: complex) -> float:
     """|x|^2 of a read number, or inf where it overflows a float: the model's overflow rule."""
     try:
         return abs(x) ** 2
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # also a stale one from abs() of a NaN part (CPython keeps errno)
+        return math.inf if x == x else math.nan
 
 
 def _field_k2(k_const: complex) -> float:
@@ -259,22 +260,30 @@ def fringe_scan(rho: DensityOperator2, k_const: complex, n_samples: int) -> Frin
     visibility is (max - min) / (max + min) over the sampled rates.  The
     detector is coupled equally to both sources.
     """
+    phis, rates, visibility = _fringe_columns(rho, k_const, n_samples)
+    return FringeScan(samples=tuple(zip(phis, rates)), visibility=visibility)
+
+
+def _fringe_columns(rho: DensityOperator2, k_const: complex,
+                    n_samples: int) -> tuple[list[float], list[float], float]:
+    """The phases, rates and visibility of ``fringe_scan``, as two columns and a float."""
     rho11, rho22, rho12 = _require_valid(rho)
     k2 = _field_k2(k_const)
     if n_samples < 8:
         raise ValueError(f"samples must be >= 8, got {n_samples}")
 
     g12 = k2 * rho12.conjugate()
-    base = k2 * (rho11 + rho22)
+    gr, gi, base = g12.real, g12.imag, k2 * (rho11 + rho22)
     step = 2.0 * math.pi / n_samples
     phis = [k * step for k in range(n_samples)]
-    rates = [base + 2.0 * (g12 * cmath.exp(1j * phi)).real for phi in phis]
+    # Re(g12 * cmath.exp(1j * phi)) bit for bit, as CPython's complex product forms it.
+    rates = [base + 2.0 * (gr * math.cos(phi) - gi * math.sin(phi)) for phi in phis]
     hi, lo = max(rates), min(rates)
     # An inf rate is hi or lo; a NaN one is inf - inf, where base is inf and so is hi.
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ZeroField(f"|k_const|^2 = {k2!r} makes a detection rate overflow a float")
     hi, lo = (hi / 2, lo / 2) if math.inf in (hi + lo, hi - lo) else (hi, lo)  # exact halving
-    return FringeScan(samples=tuple(zip(phis, rates)), visibility=(hi - lo) / (hi + lo))
+    return phis, rates, (hi - lo) / (hi + lo)
 
 
 def visibility_vs_pid(rho: DensityOperator2) -> VisibilityComparison:

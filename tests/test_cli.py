@@ -541,6 +541,26 @@ class TestCsvStartLoadsNoJson:
         assert cp.stderr == "[]"
 
 
+# Writes to stderr which of random and cmath the process holds after running argv.
+NO_RANDOM_CHILD = """
+import sys
+from io import StringIO
+from indist.cli import main
+main(sys.argv[1:], stdout=StringIO())
+sys.stderr.write(repr(sorted({"random", "cmath"} & set(sys.modules))))
+"""
+
+
+class TestDecomposeLoadsNoRandom:
+    # python -S: site imports random on some installations, before indist runs.
+    def test_no_random_or_cmath_module(self):
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        cp = subprocess.run([sys.executable, "-S", "-c", NO_RANDOM_CHILD, *DECOMPOSE_EXAMPLE],
+                            capture_output=True, text=True, env=env)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == "[]"
+
+
 # Quote, backslash, %, control, non-ASCII, lone-surrogate and astral characters.
 json_text = st.text(
     st.characters() | st.sampled_from('"\\%\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), max_size=6)
@@ -1281,3 +1301,86 @@ class TestCliFuzz:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         else:
             assert err.getvalue() == ""
+
+
+SWEEP_8193_CSV = ("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", "8193",
+                  "--output", "csv")
+FRINGES_8195_CSV = (*FRINGES_EXAMPLE[:-1], "8195", "--output", "csv")
+
+
+class TestOutFile:
+    """--out writes the bytes stdout gets, chunk by chunk, and fails like stdout does."""
+
+    @pytest.mark.parametrize("argv", [SWEEP_8193_CSV, FRINGES_8195_CSV,
+                                      ("bridge", str(DATA / "bridge_clean.pid"))],
+                             ids=["zwm-sweep-csv", "fringes-csv", "bridge-json"])
+    def test_file_bytes_equal_stdout_bytes(self, tmp_path, argv):
+        path = tmp_path / "report"
+        to_stdout = subprocess.run([sys.executable, "-m", "indist", *argv], capture_output=True)
+        to_file = run_cli(*argv, "--out", str(path))
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
+        assert path.read_bytes() == to_stdout.stdout
+
+    @pytest.mark.parametrize("argv", [SWEEP_8193_CSV, FRINGES_8195_CSV],
+                             ids=["zwm-sweep-csv", "fringes-csv"])
+    @pytest.mark.parametrize("where", ["missing-dir", "full-device"])
+    def test_unwritable_out_exits_2(self, tmp_path, argv, where):
+        # /dev/full opens, then fails a write: the table is past its first chunk by then.
+        if where == "full-device" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        path = "/dev/full" if where == "full-device" else str(tmp_path / "missing" / "t.csv")
+        cp = run_cli(*argv, "--out", path)
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("cannot write output file:")
+        assert cp.stderr.count("\n") == 1
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+class TestCsvEmitMemory:
+    """A CSV table is written a block at a time: the emit adds a few blocks of text to
+    the memory the model's columns take, not a string of the whole table."""
+
+    N = 50_000
+
+    @staticmethod
+    def traced(call):
+        """The traced (current, peak) bytes once call returns, its result still held."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            result = call()  # held while the numbers are read
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["fringes", "zwm-sweep"])
+    def test_peak_is_the_model_plus_a_few_blocks(self, command):
+        from indist import onephoton, zwm
+
+        if command == "fringes":
+            argv = [*FRINGES_EXAMPLE[:-1], str(self.N), "--output", "csv"]
+            columns, model_peak = self.traced(lambda: onephoton._fringe_columns(
+                onephoton.DensityOperator2(0.64, 0.36, 0.24), 1.0, self.N))
+        else:
+            argv = ["zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", str(self.N),
+                    "--output", "csv"]
+            columns, model_peak = self.traced(
+                lambda: zwm.sweep_columns(zwm.ZwmSetup(0.8, 0.6, 1.0), self.N))
+        assert cli.main(argv, stdout=_CountingSink()) == 0  # imports outside the trace
+        sink = _CountingSink()
+        peak = self.traced(lambda: cli.main(argv, stdout=sink))[1]
+        block = sink.written * 4096 / self.N  # the text of one 4096-row block
+        added = peak - max(model_peak, columns)
+        assert added <= 4 * block, f"{added / block:.2f} blocks"
+        assert added <= sink.written / 4

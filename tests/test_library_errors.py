@@ -154,6 +154,21 @@ class TestSquareOverflow:
         assert [tuple(issue) for issue in issues] == [("trace", 1e200), ("positivity", math.inf)]
 
 
+class TestNanPump:
+    """A pump amplitude with a NaN part and no infinite part squares to NaN, also right
+    after another amplitude's square overflowed (CPython's complex abs() keeps errno)."""
+
+    @pytest.mark.parametrize("pump", [(complex(0.24, 1e200), complex(math.nan, 0.0)),
+                                      (complex(math.nan, 0.0), complex(0.24, 1e200))],
+                             ids=["overflow-first", "nan-first"])
+    def test_square_sum_is_nan_in_either_order(self, pump):
+        with pytest.raises(InvalidSetup, match=r"^pump amplitudes square-sum to nan, expected 1$"):
+            zwm_signal_state(ZwmSetup(*pump, 1.0))
+        assert onephoton._abs2(complex(1e200, 0.0)) == math.inf
+        assert math.isnan(onephoton._abs2(complex(math.nan, 0.0)))
+        assert onephoton._abs2(complex(math.nan, math.inf)) == math.inf
+
+
 class TestFieldConstant:
     """|K|^2 must be a nonzero finite float, in both functions that take K."""
 

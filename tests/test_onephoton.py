@@ -21,6 +21,7 @@ from indist.onephoton import (
     OnePhotonState,
     VisibilityComparison,
     ZeroField,
+    _fringe_columns,
     coherence_functions,
     degree_of_indistinguishability,
     fringe_scan,
@@ -242,6 +243,42 @@ class TestFringeScan:
     def test_too_few_samples_message_is_the_cli_line(self):
         with pytest.raises(ValueError, match=r"^samples must be >= 8, got 4$"):
             fringe_scan(DensityOperator2(0.5, 0.5, 0j), 1.0, 4)
+
+
+@st.composite
+def fringe_inputs(draw):
+    """A valid density (random, diagonal or pure), a field constant and a sample count."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    rho = draw(st.sampled_from([
+        random_density(rng), DensityOperator2(0.5, 0.5, 0j), DensityOperator2(0.5, 0.5, 0.5j),
+        DensityOperator2(0.64, 0.36, 0.24)]))
+    k = draw(st.sampled_from([1.0, 1e154, 1j, 1.5 - 2j, -1.0, 1e-150])
+             | st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    return rho, k, draw(st.integers(8, 10_000))
+
+
+class TestFringeColumns:
+    """The column form behind fringe_scan and the CLI keeps every bit of the former rates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=fringe_inputs())
+    def test_rates_match_the_complex_exponential(self, inputs):
+        rho, k, n = inputs
+        k2 = abs(k) ** 2
+        g12 = k2 * complex(rho.rho12).conjugate()
+        base = k2 * (rho.rho11 + rho.rho22)
+        phis = [i * (2.0 * math.pi / n) for i in range(n)]
+        expected = [base + 2.0 * (g12 * cmath.exp(1j * phi)).real for phi in phis]
+        if not all(map(math.isfinite, expected)):
+            with pytest.raises(ZeroField, match="makes a detection rate overflow"):
+                _fringe_columns(rho, k, n)
+            return
+        phases, rates, visibility = _fringe_columns(rho, k, n)
+        assert list(map(float.hex, phases)) == list(map(float.hex, phis))
+        assert list(map(float.hex, rates)) == list(map(float.hex, expected))
+        scan = fringe_scan(rho, k, n)
+        assert scan.samples == tuple(zip(phases, rates))
+        assert scan.visibility.hex() == visibility.hex()
 
 
 class TestVisibilityVsPid:
