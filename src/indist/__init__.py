@@ -14,3 +14,11 @@ Modules:
 """
 
 __version__ = "0.1.0"
+
+
+def _read(x, convert=lambda v: v - 0.0):
+    """convert(x): by default a float as is and an int as a float, or inf of its sign past them."""
+    try:
+        return convert(x)
+    except OverflowError:  # an int past the largest float
+        return convert(float("inf") if x > 0 else -float("inf"))

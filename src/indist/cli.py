@@ -430,7 +430,7 @@ def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
         raise CliExit(EXIT_INVALID_INPUT, f"bad amplitudes: {exc}") from None
     except onephoton.DegenerateSource as exc:
         raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
-    except ValueError as exc:  # too few steps; after the two ValueError subclasses above
+    except ValueError as exc:  # a step count out of range; after the two subclasses above
         raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
 
     names = [field.name for field in fields(zwm.SweepRow)]
@@ -444,7 +444,7 @@ def cmd_fringes(args) -> tuple[int, Iterable[str]]:
     from . import onephoton
     try:  # fringe_scan's columns, with no (phase, rate) tuple per sample
         phis, rates, visibility = onephoton._fringe_columns(_density(args), 1.0, args.samples)
-    except ValueError as exc:  # an invalid density, or too few samples
+    except ValueError as exc:  # an invalid density, or a sample count out of range
         raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
 
     if args.output == "csv":

@@ -25,7 +25,10 @@ are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
+
+from . import _read
 
 if TYPE_CHECKING:
     from random import Random
@@ -124,13 +127,14 @@ class VisibilityComparison(NamedTuple):
     ratio: float
 
 
-def _read(x, convert=lambda v: v - 0.0):
-    """x as the model reads a number: convert(x), where the default keeps a float's bits (and
-    a zero's sign), makes an int a float and parses no string; too large for a float is inf."""
-    try:
-        return convert(x)
-    except OverflowError:  # an int past the largest float
-        return convert(math.inf if x > 0 else -math.inf)
+def _count(n: int, least: int, name: str) -> int:
+    """n, a count of at least ``least`` items that a list holds (sys.maxsize); else ValueError."""
+    if least <= n <= sys.maxsize:
+        return n
+    bound = f"<= {sys.maxsize}" if n > sys.maxsize else f">= {least}"
+    bits = n.bit_length() if isinstance(n, int) else 0  # as _check_unit: str() caps digits
+    got = f"an int of {bits} bits" if bits > 1024 else n
+    raise ValueError(f"{name} must be {bound}, got {got}")
 
 
 def _abs2(x: complex) -> float:
@@ -269,8 +273,7 @@ def _fringe_columns(rho: DensityOperator2, k_const: complex,
     """The phases, rates and visibility of ``fringe_scan``, as two columns and a float."""
     rho11, rho22, rho12 = _require_valid(rho)
     k2 = _field_k2(k_const)
-    if n_samples < 8:
-        raise ValueError(f"samples must be >= 8, got {n_samples}")
+    n_samples = _count(n_samples, 8, "samples")
 
     g12 = k2 * rho12.conjugate()
     gr, gi, base = g12.real, g12.imag, k2 * (rho11 + rho22)

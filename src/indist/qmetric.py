@@ -39,6 +39,7 @@ from itertools import compress, repeat
 from operator import add, gt, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from . import _read
 from .quasiset import (
     MICRO,
     Atom,
@@ -123,14 +124,15 @@ class QuasiMetricSpace:
 
     @cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:
-        """Row-major matrix with ``rows[i][j] = d(carrier[i], carrier[j])``.
+        """Row-major matrix with ``rows[i][j] = d(carrier[i], carrier[j])``, read as floats.
 
         Raises IncompleteTable naming the first missing pair in row-major order.
         """
         if isinstance(self.distances, _RowTable):
             return self.distances.rows
         try:
-            return tuple(tuple([self.distances[a, b] for b in self.carrier]) for a in self.carrier)
+            return tuple(tuple([_read(self.distances[a, b]) for b in self.carrier])
+                         for a in self.carrier)
         except KeyError:  # distance() names the first missing pair
             return tuple(tuple([self.distance(a, b) for b in self.carrier]) for a in self.carrier)
 
@@ -138,7 +140,7 @@ class QuasiMetricSpace:
         if a not in self.index or b not in self.index:
             raise NotInCarrier(f"({a!r}, {b!r}) not in carrier")
         try:
-            return self.distances[(a, b)]
+            return _read(self.distances[(a, b)])
         except KeyError:
             raise IncompleteTable(f"no distance entry for ({a!r}, {b!r})") from None
 
@@ -185,6 +187,7 @@ def verify_qm_axioms(
     O(n^3).
     """
     rel = relation if relation is not None else indist
+    tol = _read(tol)
     carrier = space.carrier
     rows = space.rows
     related = [[bool(rel(universe, a, b)) for b in carrier] for a in carrier]
@@ -277,6 +280,7 @@ def differentiation_space(
     tol: float = DEFAULT_TOL,
 ) -> DifferentiationSpace:
     """Wrap a [0,1]-valued space together with its verified axiom reports."""
+    tol = _read(tol)
     try:
         rows = base.rows
     except IncompleteTable:  # pair by pair, so an out-of-range entry ahead of the missing one wins
@@ -304,7 +308,7 @@ def degree(space: DifferentiationSpace, a: str, b: str) -> float:
 
 def degree_relation_holds(space: DifferentiationSpace, a: str, b: str, r: float) -> bool:
     """Whether a and b are indistinguishable exactly to degree r."""
-    return abs(r - degree(space, a, b)) <= space.tol
+    return abs(_read(r) - degree(space, a, b)) <= space.tol
 
 
 def degree_assignment(space: DifferentiationSpace) -> dict[tuple[str, str], float]:
@@ -340,6 +344,7 @@ def from_pid_table(
 
     # One row-major pass checks each entry by differentiation_space's range rule, builds the
     # distance rows and the zero-distance graph; symmetry is checked at a pair's upper entry.
+    tol = _read(tol)
     hi = 1.0 + tol
     rows: list[tuple[float, ...]] = []
     adjacency: dict[str, list[str]] = {name: [] for name in names}

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import onephoton
-from .onephoton import DensityOperator2, _abs2, _read
+from . import _read, onephoton
+from .onephoton import DensityOperator2, _abs2
 
 AMPLITUDE_TOL = onephoton.ANALYTIC_TOL  # one bound, so sweep_columns may skip the density check
 
@@ -105,8 +105,7 @@ def sweep_columns(setup: ZwmSetup, steps: int) -> tuple[list[float], ...]:
     """
     alpha, beta, tau = _require_valid(setup)
     rho = _signal_state(alpha, beta, tau)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    steps = onephoton._count(steps, 2, "steps")
     onephoton._require_nondegenerate(rho.rho11, rho.rho22)
 
     t0 = abs(tau)

@@ -1,17 +1,21 @@
 """Python ints and bools reach the library as numbers, and it raises only its own errors.
 
-``onephoton._read`` is the model's one reading rule: a number reads as a float
+``indist._read`` is the library's one reading rule: a number reads as a float
 (or, for rho12 and tau, a complex), and one too large for a float reads as inf
-of its sign, so the finite and overflow checks see it.  The validators return
-what they read.  The pool here adds to the float pool of
+of its sign, so the finite and overflow checks see it.  The optics validators
+return what they read; ``qmetric`` reads user distances, tolerances and
+degrees through it too.  The pool here adds to the float pool of
 ``test_library_errors`` the ints a user may pass: small ones, one past 2**53,
 and ones past the largest float.  Counts and ``random_density``'s ``min_diag``
-may also raise the plain ``ValueError`` that names them.
+may also raise the plain ``ValueError`` that names them; ``onephoton._count``
+is the one count rule, and refuses a count past ``sys.maxsize``.
 """
 
 import inspect
 import math
 import signal
+import subprocess
+import sys
 import typing
 from contextlib import contextmanager
 from random import Random
@@ -19,7 +23,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indist import onephoton, qmetric, zwm
+from indist import onephoton, qmetric, quasiset, zwm
 from indist.onephoton import (
     DensityOperator2,
     InvalidDensity,
@@ -33,8 +37,27 @@ from indist.onephoton import (
     random_density,
     validate_density,
 )
-from indist.qmetric import MalformedTable, OutOfRange, from_pid_table, heyting_meet
-from indist.zwm import InvalidSetup, ZwmSetup, sweep_columns, whichway_coincidence_prob, zwm_signal_state
+from indist.qmetric import (
+    DifferentiationSpace,
+    MalformedTable,
+    OutOfRange,
+    QuasiMetricSpace,
+    degree,
+    degree_assignment,
+    degree_relation_holds,
+    differentiation_space,
+    from_pid_table,
+    heyting_meet,
+    verify_qm_axioms,
+)
+from indist.quasiset import MICRO, Atom, Universe
+from indist.zwm import (
+    InvalidSetup,
+    ZwmSetup,
+    sweep_columns,
+    whichway_coincidence_prob,
+    zwm_signal_state,
+)
 
 RHO = DensityOperator2(0.64, 0.36, 0.24)
 
@@ -253,3 +276,159 @@ class TestFringeRateOverflow:
         assert all(map(math.isfinite, rates)) and max(rates) + min(rates) == math.inf
         expected = fringe_scan(rho, 1.0, 8).visibility
         assert fringe_scan(rho, k, 8).visibility == pytest.approx(expected, rel=1e-12)
+
+
+# -- qmetric: user distances, tolerances and degrees ---------------------------
+
+NAMES = ("a", "b", "c")
+
+
+def _space(off_diagonal, n=2):
+    """A symmetric space on the first n names, with a zero diagonal."""
+    names = NAMES[:n]
+    return QuasiMetricSpace(names, {(a, b): 0 if a == b else off_diagonal
+                                    for a in names for b in names})
+
+
+def _universe(n):
+    """a and c are one species, b another: QM4 and congruence see both kinds of pair."""
+    return Universe(species=["x", "y"], atoms=[Atom(a, MICRO, sp) for a, sp in zip(NAMES[:n], "xyx")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 3), data=st.data())
+def test_qmetric_reads_python_numbers(n, data):
+    values = NUMBERS | st.just(10**5000)
+    names = NAMES[:n]
+    distances = {(a, b): data.draw(values, label=f"d{a}{b}") for a in names for b in names}
+    tol, r = data.draw(NUMBERS, label="tol"), data.draw(NUMBERS, label="r")
+    universe, owners = _universe(n), {qmetric, quasiset}
+    _raises_only_own_errors(owners, verify_qm_axioms, QuasiMetricSpace(names, distances), universe,
+                            tol)
+    _raises_only_own_errors(owners, differentiation_space, QuasiMetricSpace(names, distances),
+                            universe, tol)
+    table = [[distances[a, b] for b in names] for a in names]
+    _raises_only_own_errors(owners, from_pid_table, list(names), table, tol)
+    # A space that claims a clean audit reaches the degree arithmetic on every entry.
+    space = DifferentiationSpace(QuasiMetricSpace(names, distances), universe, (), tol)
+    _raises_only_own_errors(owners, degree_relation_holds, space, "a", "b", r)
+    _raises_only_own_errors(owners, degree, space, "b", "a")
+    _raises_only_own_errors(owners, degree_assignment, space)
+
+
+def _witnesses(reports):
+    return {report.axiom: report.counterexample for report in reports if not report.holds}
+
+
+class TestQmetricIntPastTheFloats:
+    """Each call that ended in a bare OverflowError ("int too large to convert to float")."""
+
+    def test_distance_past_the_floats_is_not_finite_nor_symmetric(self):
+        space = _space(10**400)
+        assert _witnesses(verify_qm_axioms(space, _universe(2))) == {"QM2": ("a", "b"),
+                                                                   "QM5": ("a", "b")}
+        dspace = differentiation_space(_space(10**400), _universe(2))
+        assert not dspace.axioms_hold
+        assert _witnesses(dspace.axiom_reports) == {"QM2": ("a", "b"), "QM5": ("a", "b")}
+
+    def test_negative_distance_past_the_floats(self):
+        reports = differentiation_space(_space(-10**400), _universe(2)).axiom_reports
+        witnesses = _witnesses(reports)
+        assert {"QM2", "QM3", "QM5"} <= set(witnesses)
+        assert witnesses["QM2"] == witnesses["QM3"] == witnesses["QM5"] == ("a", "b")
+
+    @pytest.mark.parametrize("tol", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_tolerance_past_the_floats(self, tol):
+        for call in (lambda: verify_qm_axioms(_space(0.5), _universe(2), tol),
+                     lambda: differentiation_space(_space(0.5), _universe(2), tol),
+                     lambda: from_pid_table(["a", "b"], [[1, 0.5], [0.5, 1]], tol)):
+            try:
+                reports = call()
+            except (OutOfRange, MalformedTable):
+                continue
+            assert reports  # a report, not an error
+
+    def test_huge_tolerance_reads_as_inf(self):
+        # Every distance is within an infinite tolerance of zero and of its transpose.
+        witnesses = _witnesses(verify_qm_axioms(_space(0.5), _universe(2), 10**400))
+        assert "QM5" not in witnesses and witnesses["QM4"] == ("a", "b")
+
+    def test_degree_past_the_floats_does_not_hold(self):
+        space = differentiation_space(_space(0.5), _universe(2))
+        assert space.axioms_hold
+        assert degree_relation_holds(space, "a", "b", 0.5)
+        assert not degree_relation_holds(space, "a", "b", 10**400)
+        assert not degree_relation_holds(space, "a", "b", -10**400)
+
+    def test_int_distance_prints_as_the_float_read(self):
+        with pytest.raises(OutOfRange, match=r"^distance d\('a', 'b'\) = 2\.0 outside \[0, 1\]$"):
+            differentiation_space(_space(2), _universe(2))
+
+    def test_int_distances_read_as_floats(self):
+        space = _space(1)
+        assert space.rows == ((0.0, 1.0), (1.0, 0.0))
+        assert all(type(d) is float for row in space.rows for d in row)
+        assert type(space.distance("a", "b")) is float
+
+
+# -- counts past what a list can hold ------------------------------------------
+
+# The child caps its own address space at 512 MiB, so a count that is not refused ends
+# in MemoryError (or its own error) rather than growing until the host kills it.
+LIMITED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20,) * 2)
+from indist import cli, onephoton, zwm
+RHO = onephoton.DensityOperator2(0.64, 0.36, 0.24)
+SETUP = zwm.ZwmSetup(0.6, 0.8, 1)
+if sys.argv[1] == "cli":
+    sys.exit(cli.main(sys.argv[2:]))
+try:
+    eval(sys.argv[1])
+except ValueError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def _limited(*argv):
+    with _deadline(120):
+        return subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv],
+                              capture_output=True, text=True, timeout=120)
+
+
+def _past_a_list(name, n):
+    got = f"an int of {n.bit_length()} bits" if n.bit_length() > 1024 else n
+    return f"{name} must be <= {sys.maxsize}, got {got}"
+
+
+class TestCountPastAList:
+    """A count past sys.maxsize is refused before any column is allocated."""
+
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("call,name", [("onephoton.fringe_scan(RHO, 1.0, {n})", "samples"),
+                                           ("onephoton._fringe_columns(RHO, 1.0, {n})", "samples"),
+                                           ("zwm.sweep_columns(SETUP, {n})", "steps"),
+                                           ("zwm.sweep_transmission(SETUP, {n})", "steps")],
+                             ids=["fringe_scan", "_fringe_columns", "sweep_columns",
+                                  "sweep_transmission"])
+    def test_library(self, call, name, n):
+        cp = _limited(call.format(n=n))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, f"ValueError {_past_a_list(name, n)}\n", "")
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (("fringes", "--rho11", "0.5", "--rho22", "0.5", "--samples"), "samples must be"),
+        (("zwm-sweep", "--alpha", "1", "--beta", "1", "--steps"), "steps must be"),
+    ], ids=["fringes", "zwm-sweep"])
+    def test_cli_exits_2_with_one_line(self, argv, prefix):
+        cp = _limited("cli", *argv, "1" + "0" * 400, "--output", "csv")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith(prefix) and cp.stderr.count("\n") == 1
+        assert cp.stderr == _past_a_list(prefix.split()[0], 10**400) + "\n"
+
+    def test_the_largest_count_passes_the_rule(self):
+        assert onephoton._count(sys.maxsize, 8, "samples") == sys.maxsize
+
+    def test_below_the_least_past_the_digit_limit(self):
+        # str() of this int raises its own ValueError; the rule names it by its size.
+        with _deadline(), pytest.raises(ValueError, match=r"^steps must be >= 2, got an int of 16610 bits$"):
+            sweep_columns(ZwmSetup(0.6, 0.8, 1), -10**5000)
