@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, gt, sub
+from operator import add, eq, gt, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import _read
@@ -46,7 +46,8 @@ from .quasiset import (
     AxiomReport,
     RelationFn,
     Universe,
-    indist,
+    _signature,
+    indist,  # the default relation; benchmark/tracing.py wraps qmetric.indist
 )
 
 DEFAULT_TOL = 1e-12
@@ -176,28 +177,37 @@ def verify_qm_axioms(
     has no entry.  Each counterexample is the first failing pair or triple
     in row-major carrier order.
 
-    The relation is evaluated once per ordered pair.  QM6 and congruence
-    test a whole row per C-level iterator chain, and ``compress`` over that
-    same chain names the first witness.  Each row gets an id by
-    exact tuple equality, and both checks skip work whose outcome an equal
-    row already decided: QM6 costs O(k m n) comparisons for k distinct rows
-    and m distinct (d(a, b), row of b) keys per row, congruence O(n^2 + p n)
-    for p distinct related row-id pairs.  Rows equal only within ``tol``
-    get distinct ids, so a table without exactly repeated rows still costs
-    O(n^3).
+    A user ``relation`` is called once per ordered pair; for ``indist``,
+    each term's signature is looked up once.  Rows and columns get ids by
+    exact tuple equality.  QM2-QM5 at (a, b) read only d(a, b), d(b, a) and
+    a ~ b, so a repeated (row id, column id, relation row) key is scanned
+    once.  QM6 and congruence test a row per C-level iterator chain, which
+    ``compress`` reads for the first witness, and skip what an equal row
+    decided: QM6 costs O(k m n) for k distinct rows and m distinct (d(a, b),
+    row of b) keys per row, congruence O(n^2 + p n) for p distinct related
+    row-id pairs.  Rows equal only within ``tol`` still get distinct ids.
     """
-    rel = relation if relation is not None else indist
     tol = _read(tol)
     carrier = space.carrier
     rows = space.rows
-    related = [[bool(rel(universe, a, b)) for b in carrier] for a in carrier]
+    if relation is None:  # indist(u, a, b) is _signature(u, a) == _signature(u, b)
+        sigs = [_signature(universe, a) for a in carrier]
+        related = [list(map(eq, repeat(s), sigs)) for s in sigs]
+    else:
+        related = [[bool(relation(universe, a, b)) for b in carrier] for a in carrier]
     ids: dict[tuple[float, ...], int] = {}
     row_ids = [ids.setdefault(row, len(ids)) for row in rows]
+    column_ids = [ids.setdefault(column, len(ids)) for column in zip(*rows)]
 
     reports = [AxiomReport("QM1", len(carrier) > 0, None if carrier else ())]
 
     qm2 = qm3 = qm4 = qm5 = None
-    for a, row, column, rel_row in zip(carrier, rows, zip(*rows), related):
+    scanned: set[tuple[int, int, tuple[bool, ...]]] = set()
+    for a, row, column, rel_row, key in zip(carrier, rows, zip(*rows), related,
+                                           zip(row_ids, column_ids, map(tuple, related))):
+        if key in scanned:
+            continue
+        scanned.add(key)
         for b, d, d_ba, r in zip(carrier, row, column, rel_row):
             finite = math.isfinite(d)
             if qm2 is None and not finite:
