@@ -194,11 +194,11 @@ def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, list[str]]:
+def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, Iterable[str]]:
     from json.encoder import encode_basestring_ascii  # here, so CSV runs load no json
     report = {"command": args.command, "version": __version__,
               "inputs": inputs, "outputs": outputs, "status": status}
-    return status, ["".join(_json_chunks(report, encode_basestring_ascii)) + "\n"]
+    return status, chain(_json_chunks(report, encode_basestring_ascii), "\n")
 
 
 def _csv(header: str, columns, footer: str = ""):
@@ -377,7 +377,7 @@ def _read(path: str, what: str, parse):
                       f"parse error at line {exc.line}, column {exc.column}: {exc}") from None
 
 
-def cmd_decompose(args) -> tuple[int, list[str]]:
+def cmd_decompose(args) -> tuple[int, Iterable[str]]:
     from . import onephoton
     rho = _density(args)
     try:  # mandel_decompose checks validity before degeneracy: exit 2 comes before exit 3
@@ -457,21 +457,17 @@ def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
     """Pairs a < b in terms() order that are indistinguishable but not ext-identical."""
     from . import quasiset
 
-    # One indist_class call per class; ext_identity only within a class.
+    # Each class is one frozenset the universe holds; ext_identity only within a class.
     terms = universe.terms()
     rank = {t: i for i, t in enumerate(terms)}
-    seen: set[str] = set()
-    pairs = []
-    for t in terms:
-        if t not in seen:
-            members = sorted(quasiset.indist_class(universe, t), key=rank.__getitem__)
-            seen.update(members)
-            pairs.extend((rank[a], rank[b]) for a, b in combinations(members, 2)
-                         if not quasiset.ext_identity(universe, a, b))
-    return [[terms[i], terms[j]] for i, j in sorted(pairs)]
+    classes = {quasiset.indist_class(universe, t) for t in terms}
+    pairs = sorted((i, j) for members in classes
+                   for i, j in combinations(sorted(map(rank.__getitem__, members)), 2)
+                   if not quasiset.ext_identity(universe, terms[i], terms[j]))
+    return [[terms[i], terms[j]] for i, j in pairs]
 
 
-def cmd_qset_check(args) -> tuple[int, list[str]]:
+def cmd_qset_check(args) -> tuple[int, Iterable[str]]:
     from . import quasiset
 
     universe = _read(args.universe_file, "universe", parse_universe)
@@ -500,7 +496,7 @@ def cmd_qset_check(args) -> tuple[int, list[str]]:
     return _json(args, inputs, outputs, EXIT_OK if all_hold else EXIT_AXIOMS_FAILED)
 
 
-def cmd_bridge(args) -> tuple[int, list[str]]:
+def cmd_bridge(args) -> tuple[int, Iterable[str]]:
     from . import qmetric
 
     tolerance = qmetric.DEFAULT_TOL if args.tolerance is None else args.tolerance

@@ -1386,3 +1386,43 @@ class TestCsvEmitMemory:
         added = peak - max(model_peak, columns)
         assert added <= 4 * block, f"{added / block:.2f} blocks"
         assert added <= sink.written / 4
+
+
+class TestJsonEmitMemory:
+    """A JSON report is written a block at a time, as a CSV table is: the emit adds a
+    few blocks of text to the model's peak, not a string of the whole report."""
+
+    traced = staticmethod(TestCsvEmitMemory.traced)
+
+    def test_sweep_adds_a_few_blocks(self):
+        from indist import zwm
+
+        n = TestCsvEmitMemory.N
+        argv = ["zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", str(n)]
+        columns, model_peak = self.traced(
+            lambda: zwm.sweep_columns(zwm.ZwmSetup(0.8, 0.6, 1.0), n))
+        assert cli.main(argv, stdout=_CountingSink()) == 0  # imports outside the trace
+        sink = _CountingSink()
+        peak = self.traced(lambda: cli.main(argv, stdout=sink))[1]
+        block = sink.written * 4096 / n  # the text of one 4096-row block
+        added = peak - max(model_peak, columns)
+        assert added <= 4 * block, f"{added / block:.2f} blocks"
+
+    def test_bridge_adds_less_than_the_report(self, tmp_path):
+        from indist import qmetric
+
+        # 200 sources in 12 groups at distinct points of a line, as in the benchmark.
+        x = ([k / 256 for k in range(0, 240, 20)] * 17)[:200]
+        lines = ["sources: " + " ".join(f"s{i:03d}" for i in range(len(x))), "pid:"]
+        lines += [" ".join(repr(1.0 - abs(a - b)) for b in x) for a in x]
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "grouped.pid"
+        path.write_text(text, encoding="utf-8")
+        argv = ["bridge", str(path)]
+        model, model_peak = self.traced(
+            lambda: qmetric.from_pid_table(*parse_pid_table(text)))
+        assert cli.main(argv, stdout=_CountingSink()) == 0
+        sink = _CountingSink()
+        peak = self.traced(lambda: cli.main(argv, stdout=sink))[1]
+        added = peak - max(model_peak, model)
+        assert added < sink.written, f"{added / sink.written:.2f} reports"

@@ -126,3 +126,23 @@ def test_repeated_row_key_keeps_the_first_witness(species, rows, axiom, witness)
     reports = verify_qm_axioms(space, universe)
     assert reports == reference_verify_qm_axioms(space, universe)
     assert AxiomReport(axiom, False, witness) in reports
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("carrier, rows", [
+    (("ghost",), [[NAN]]),
+    (("a", "ghost"), [[0.0, 0.5], [NAN, NAN]]),
+], ids=["alone", "after-a-known-term"])
+def test_unknown_term_raises_before_any_report(carrier, rows):
+    # The reference calls the relation lazily, so on ("ghost",) it reports QM2/QM5
+    # witnesses; the library raises on a term missing from the universe, whatever its
+    # row holds, before any report.
+    universe = Universe(species=["x"], atoms=[Atom("a", MICRO, "x")])
+    distances = {(a, b): d for a, row in zip(carrier, rows) for b, d in zip(carrier, row)}
+    space = QuasiMetricSpace(carrier, distances)
+    for relation in (None, indist):
+        with pytest.raises(UnknownTerm) as exc:
+            verify_qm_axioms(space, universe, relation=relation)
+        assert str(exc.value) == "unknown term 'ghost'"

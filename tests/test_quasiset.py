@@ -511,3 +511,20 @@ class TestAnonymousQsetHashSeed:
         # The first unknown in the list's order; the least one of the set.
         assert outputs == ["unknown term 'r' in anonymous qset\n"
                            "unknown term 'p' in anonymous qset\n"] * 2
+
+
+class TestAnonymousQsetUnknownMember:
+    """An anonymous qset with members missing from the universe names one of them."""
+
+    @pytest.mark.parametrize("members", [["a", "r", "q", "p"], ("a", "r", "q", "p")],
+                             ids=["list", "tuple"])
+    def test_sequence_names_its_first_unknown(self, photons, members):
+        with pytest.raises(UnknownTerm) as exc:
+            indist(photons, members, "x")
+        assert str(exc.value) == "unknown term 'r' in anonymous qset"
+
+    def test_set_names_its_least_unknown_by_repr(self, photons):
+        # repr("z'") starts with '"', which sorts before the quote of repr("p").
+        with pytest.raises(UnknownTerm) as exc:
+            indist(photons, {"a", "p", "z'"}, "x")
+        assert str(exc.value) == "unknown term \"z'\" in anonymous qset"
