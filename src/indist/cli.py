@@ -44,7 +44,7 @@ import os
 import re
 import sys
 from itertools import chain, combinations, repeat
-from operator import countOf
+from operator import add, countOf
 from struct import Struct
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
@@ -160,10 +160,12 @@ def parse_universe(text: str) -> quasiset.Universe:
 
 
 def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
-    """Parse the degree-table format into (sources, row-major matrix)."""
+    """Parse the degree-table format into (sources, row-major matrix). A repeated matrix
+    line is parsed once, and every row is still a list of its own."""
     sources: list[str] = []
     rows: list[tuple[int, list[float]]] = []  # (line, row)
     headers: dict[str, int] = {}  # the first line of each header
+    parsed: dict[str, list[float]] = {}  # line text -> its floats
     for section, lineno, line, start in _sections(text, "sources", "sources", "pid"):
         if start:
             headers.setdefault(section, lineno)
@@ -171,9 +173,10 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
             sources.extend(line[start:].split())
         elif not start:
             try:
-                rows.append((lineno, [float(tok) for tok in line.split()]))
+                values = parsed[line] = parsed.get(line) or [float(tok) for tok in line.split()]
             except ValueError:
                 raise ParseError(f"bad matrix row {line.strip()!r}", lineno) from None
+            rows.append((lineno, values[:]))
     if not sources:
         if "sources" not in headers:
             raise ParseError("missing 'sources:' section", 1)
@@ -253,7 +256,7 @@ def _scalars(values, esc) -> Optional[list[str]]:
     return texts if keys is values else list(map(_Texts(zip(keys, texts)).__getitem__, values))
 
 
-def _row_texts(rows, row: str, esc) -> Optional[list[str]]:
+def _row_texts(rows, parts, esc) -> Optional[list[str]]:
     """Each row's text, formatted once per distinct row; None unless every value is a
     plain float and the first 64 rows are mostly repeats. A row is keyed by its bytes,
     as 0.0 == -0.0 and True == 1 == 1.0 would merge rows whose texts differ."""
@@ -264,7 +267,8 @@ def _row_texts(rows, row: str, esc) -> Optional[list[str]]:
             or countOf(map(type, chain.from_iterable(rows)), float) < width * len(rows)):
         return None
     keys = [pack(*values) for values in rows]
-    texts = {key: row % tuple(_scalars(v, esc)) for key, v in dict(zip(keys, rows)).items()}
+    texts = {key: parts[0] + "".join(map(add, _scalars(v, esc), parts[1:]))
+             for key, v in dict(zip(keys, rows)).items()}
     return list(map(texts.__getitem__, keys))
 
 
@@ -296,28 +300,32 @@ def _items(value, esc, pad: str):
     else:
         shapes = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
         shape = shapes.pop() if len(shapes) == 1 else ()
-    row = "%s"
+    parts = None
     if shape:
-        slots = [esc(k).replace("%", "%%") + ": %s" for k in shape] if keyed else ["%s"] * shape
+        heads = [esc(k) + ": " for k in shape] if keyed else [""] * shape
         brackets = "{}" if keyed else "[]"
-        row = brackets[0] + "\n  " + pad + (",\n  " + pad).join(slots) + "\n" + pad + brackets[1]
+        parts = [brackets[0] + "\n  " + pad + heads[0],
+                 *[",\n  " + pad + head for head in heads[1:]], "\n" + pad + brackets[1]]
     for i in range(0, len(value), _BLOCK):
-        yield _block(value[i:i + _BLOCK], keyed, shape, row, esc, pad)
+        yield _block(value[i:i + _BLOCK], keyed, parts, esc, pad)
 
 
-def _block(rows, keyed: bool, shape, row: str, esc, pad: str) -> str:
-    """Join rows through one %-template per row; a column that _scalars leaves is
-    written value by value at its field's depth. Repeated rows of plain floats are
-    formatted once per distinct row."""
+def _block(rows, keyed: bool, parts, esc, pad: str) -> str:
+    """Join rows in one join, each row its template's parts around its field texts and
+    each but the first led by the separator; a column that _scalars leaves is written value
+    by value at its field's depth. Repeated rows of plain floats are formatted once each."""
     sep = ",\n" + pad
-    texts = None if keyed or not shape else _row_texts(rows, row, esc)
+    texts = None if keyed or not parts else _row_texts(rows, parts, esc)
     if texts:
         return sep.join(texts)
-    inner = pad + "  " if shape else pad
+    inner = pad + "  " if parts else pad
     cols = [_scalars(col, esc) or ["".join(_json_chunks(v, esc, inner)) for v in col]
             for col in  # unnamed: the zip keeps an iterator per row
-            (rows.columns.values() if keyed else zip(*rows) if shape else [rows])]
-    return sep.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*cols)))
+            (rows.columns.values() if keyed else zip(*rows) if parts else [rows])]
+    if not parts:
+        return sep.join(cols[0])
+    fields = chain.from_iterable(zip(cols, map(repeat, parts[1:])))  # column k, then part k + 1
+    return "".join(chain.from_iterable(zip(chain(parts[:1], repeat(sep + parts[0])), *fields)))
 
 
 def _json_chunks(value, esc, pad: str = ""):

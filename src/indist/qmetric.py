@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, eq, gt, sub
+from operator import add, countOf, eq, ge, gt, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import _read
@@ -340,7 +340,9 @@ def from_pid_table(
     its class under the transitive closure of the zero-distance pairs, so
     species equality matches d = 0 only when those pairs form an equivalence;
     a "zero-transitivity" report (with a witnessing chain) and the QM axiom
-    reports answer whether the physical degrees form such a space.
+    reports answer whether the physical degrees form such a space.  A row of
+    plain floats equal to a checked row and, past the diagonal, to its column
+    of plain floats passes its checks as that row did: it shares its distances.
     """
     names = list(sources)
     n = len(names)
@@ -358,24 +360,35 @@ def from_pid_table(
     hi = 1.0 + tol
     rows: list[tuple[float, ...]] = []
     adjacency: dict[str, list[str]] = {name: [] for name in names}
+    checked: dict[tuple[float, ...], list[tuple[float, ...]]] = {}  # row -> [its distances]
     try:
-        for i, (a, row) in enumerate(zip(names, pid)):
-            d_row: list[float] = []
-            for j, (b, v) in enumerate(zip(names, row)):
-                v = float(v)
-                d = 1.0 - v
-                if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
-                    raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
-                d_row.append(d)
-                if j > i:
-                    if abs(v - pid[j][i]) > tol:
-                        raise MalformedTable(f"asymmetry at ({i}, {j})")
-                    if d <= tol:
-                        adjacency[a].append(b)
-                        adjacency[b].append(a)
+        for i, (a, row, column) in enumerate(zip(names, pid, zip(*pid))):
+            key, upper = tuple(row), column[i + 1 :]
+            shared = checked.setdefault(key, []) if countOf(map(type, key), float) == n else []
+            if shared and key[i + 1 :] == upper and countOf(map(type, upper), float) == len(upper):
+                d_row = shared[0]
+                for b in compress(names[i + 1 :], map(ge, repeat(tol), d_row[i + 1 :])):
+                    adjacency[a].append(b)
+                    adjacency[b].append(a)
+            else:
+                d_row = []
+                for j, (b, v) in enumerate(zip(names, row)):
+                    v = float(v)
+                    d = 1.0 - v
+                    if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
+                        raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
+                    d_row.append(d)
+                    if j > i:
+                        if abs(v - pid[j][i]) > tol:
+                            raise MalformedTable(f"asymmetry at ({i}, {j})")
+                        if d <= tol:
+                            adjacency[a].append(b)
+                            adjacency[b].append(a)
+                d_row = tuple(d_row)
+                shared.append(d_row)
             if abs(row[i] - 1.0) > tol:
                 raise MalformedTable(f"diagonal entry {row[i]!r} at ({i}, {i}) is not 1")
-            rows.append(tuple(d_row))
+            rows.append(d_row)
     except OverflowError:  # an int past the largest float: v, or pid[j][i] read for symmetry
         at = (j, i) if isinstance(v, float) else (i, j)
         raise MalformedTable(f"value at {at} outside [0, 1]: too large for a float") from None
