@@ -44,7 +44,7 @@ import os
 import re
 import sys
 from itertools import chain, combinations, repeat
-from operator import add, countOf
+from operator import add, countOf, sub
 from struct import Struct
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
@@ -198,7 +198,10 @@ def _jsonable(value):
 
 
 def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, Iterable[str]]:
-    from json.encoder import encode_basestring_ascii  # here, so CSV runs load no json
+    try:  # json.encoder's own C function, imported here so that CSV runs load no json
+        from _json import encode_basestring_ascii
+    except ImportError:
+        from json.encoder import encode_basestring_ascii
     report = {"command": args.command, "version": __version__,
               "inputs": inputs, "outputs": outputs, "status": status}
     return status, chain(_json_chunks(report, encode_basestring_ascii), "\n")
@@ -286,6 +289,17 @@ class _DictRows:
         return _DictRows({key: column[span] for key, column in self.columns.items()})
 
 
+class _PairTable:
+    """The list of {"a": a, "b": b, "degree": 1 - d(a, b)} for a before b in source order
+    (r = 1 - d as in qmetric.degree), held as the sources and the distance rows."""
+
+    def __init__(self, sources: Sequence[str], rows: Sequence[Sequence[float]]):
+        self.sources, self.rows = sources, rows
+
+    def __len__(self) -> int:
+        return len(self.sources) * (len(self.sources) - 1) // 2
+
+
 _BLOCK = 4096  # list items per chunk, so the texts of one block bound the memory
 
 
@@ -310,6 +324,30 @@ def _items(value, esc, pad: str):
         yield _block(value[i:i + _BLOCK], keyed, parts, esc, pad)
 
 
+def _pair_blocks(table: _PairTable, esc, pad: str):
+    """Yield the pair table's items as _items writes the equal dicts, _BLOCK a chunk. A row
+    object's "b" and "degree" texts are formatted once, kept until the last row sharing it."""
+    sources, rows = table.sources, table.rows[:-1]  # the last source starts no pair
+    a_part, b_part, d_part = ("\n  " + pad + esc(key) + ": " for key in ("a", "b", "degree"))
+    close, sep, names = "\n" + pad + "}", ",\n" + pad, [esc(b) + "," + d_part for b in sources]
+    last, kept, texts, room = {id(row): i for i, row in enumerate(rows, 1)}, {}, [], _BLOCK
+    for i, (a, row) in enumerate(zip(sources, rows), 1):
+        start, tail = kept.pop(id(row), None) or (i, list(map(add, names[i:], _floats(
+            map(sub, repeat(1.0), row[i:]), "\n").split("\n"))))
+        if last[id(row)] > i:
+            kept[id(row)] = start, tail
+        tail, head = tail[i - start:], "{" + a_part + esc(a) + "," + b_part
+        while tail:
+            part, tail = tail[:room], tail[room:]
+            texts.append(head + (close + sep + head).join(part) + close)
+            room -= len(part)
+            if not room:
+                yield sep.join(texts)
+                texts, room = [], _BLOCK
+    if texts:
+        yield sep.join(texts)
+
+
 def _block(rows, keyed: bool, parts, esc, pad: str) -> str:
     """Join rows in one join, each row its template's parts around its field texts and
     each but the first led by the separator; a column that _scalars leaves is written value
@@ -331,8 +369,8 @@ def _block(rows, keyed: bool, parts, esc, pad: str) -> str:
 def _json_chunks(value, esc, pad: str = ""):
     """Yield value as the json module writes it with indent=2, in pieces, nested at pad.
 
-    A list (or _DictRows) is written column by column through _items, one chunk per block."""
-    if not isinstance(value, (list, tuple, dict, _DictRows)):
+    A list is written through _items (a _PairTable through _pair_blocks), one chunk per block."""
+    if not isinstance(value, (list, tuple, dict, _DictRows, _PairTable)):
         yield _scalar(value, esc)
         return
     if not value:
@@ -349,7 +387,7 @@ def _json_chunks(value, esc, pad: str = ""):
         yield "\n" + pad + "}"
         return
     head = "[\n" + inner
-    for text in _items(value, esc, inner):
+    for text in (_pair_blocks if isinstance(value, _PairTable) else _items)(value, esc, inner):
         yield head
         yield text
         head = sep
@@ -519,12 +557,7 @@ def cmd_bridge(args) -> tuple[int, Iterable[str]]:
 
     axioms_hold = all(r.holds for r in reports)
     rows = space.base.rows
-    # Pairs a < b in source order, one column per key; r = 1 - d as in qmetric.degree.
-    degrees = _DictRows({
-        "a": list(chain.from_iterable(map(repeat, sources, range(len(sources) - 1, -1, -1)))),
-        "b": list(chain.from_iterable(sources[i + 1 :] for i in range(len(sources)))),
-        "degree": [1.0 - d for i, row in enumerate(rows) for d in row[i + 1 :]],
-    }) if space.axioms_hold else []
+    degrees = _PairTable(sources, rows) if space.axioms_hold else []
     inputs = {"sources": sources, "pid": pid, "tolerance": tolerance}
     outputs = {
         "distance": rows,

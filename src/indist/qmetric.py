@@ -177,34 +177,40 @@ def verify_qm_axioms(
     has no entry.  Each counterexample is the first failing pair or triple
     in row-major carrier order.
 
-    A user ``relation`` is called once per ordered pair; for ``indist``,
-    each term's signature is looked up once.  Rows and columns get ids by
-    exact tuple equality.  QM2-QM5 at (a, b) read only d(a, b), d(b, a) and
-    a ~ b, so a repeated (row id, column id, relation row) key is scanned
-    once.  QM6 and congruence test a row per C-level iterator chain, which
-    ``compress`` reads for the first witness, and skip what an equal row
-    decided: QM6 costs O(k m n) for k distinct rows and m distinct (d(a, b),
-    row of b) keys per row, congruence O(n^2 + p n) for p distinct related
-    row-id pairs.  Rows equal only within ``tol`` still get distinct ids.
+    A user ``relation`` is called once per ordered pair; ``indist`` builds
+    one relation row per distinct signature.  Rows and columns get ids by
+    exact tuple equality (a row object is hashed once; columns equal to the
+    rows take the row ids).  QM2-QM5 scan a repeated (row id, column id,
+    relation row) key once.  QM6 and congruence run a C-level chain per
+    row and skip what an equal row decided: QM6 costs O(k m n) for k
+    distinct rows and m distinct (d(a, b), row of b) keys per row, halved
+    when rows equal columns; congruence O(r + p n) for r related pairs and
+    p distinct related row-id pairs.
     """
     tol = _read(tol)
     carrier = space.carrier
     rows = space.rows
     if relation is None:  # indist(u, a, b) is _signature(u, a) == _signature(u, b)
         sigs = [_signature(universe, a) for a in carrier]
-        related = [list(map(eq, repeat(s), sigs)) for s in sigs]
+        by_sig = {s: list(map(eq, repeat(s), sigs)) for s in dict.fromkeys(sigs)}
+        related = [by_sig[s] for s in sigs]  # one row object per distinct signature
     else:
         related = [[bool(relation(universe, a, b)) for b in carrier] for a in carrier]
     ids: dict[tuple[float, ...], int] = {}
-    row_ids = [ids.setdefault(row, len(ids)) for row in rows]
-    column_ids = [ids.setdefault(column, len(ids)) for column in zip(*rows)]
+    objects = {id(row): row for row in rows}  # a row object several terms share is hashed once
+    by_object = {key: ids.setdefault(row, len(ids)) for key, row in objects.items()}
+    row_ids = [by_object[id(row)] for row in rows]
+    columns = tuple(zip(*rows))
+    symmetric = columns == rows
+    column_ids = row_ids if symmetric else [ids.setdefault(column, len(ids)) for column in columns]
+    rel_keys = map(id if relation is None else tuple, related)  # indist: a row per signature
 
     reports = [AxiomReport("QM1", len(carrier) > 0, None if carrier else ())]
 
     qm2 = qm3 = qm4 = qm5 = None
-    scanned: set[tuple[int, int, tuple[bool, ...]]] = set()
-    for a, row, column, rel_row, key in zip(carrier, rows, zip(*rows), related,
-                                           zip(row_ids, column_ids, map(tuple, related))):
+    scanned: set[tuple[int, int, object]] = set()
+    for a, row, column, rel_row, key in zip(carrier, rows, columns, related,
+                                           zip(row_ids, column_ids, rel_keys)):
         if key in scanned:
             continue
         scanned.add(key)
@@ -218,35 +224,30 @@ def verify_qm_axioms(
                 qm4 = (a, b)
             if qm5 is None and not (finite and math.isfinite(d_ba) and abs(d - d_ba) <= tol):
                 qm5 = (a, b)
-    witnesses = {
-        "QM2": qm2,
-        "QM3": qm3,
-        "QM4": qm4,
-        "QM5": qm5,
-        "QM6": _triangle_breach(carrier, rows, row_ids, tol),
-        "congruence": _congruence_breach(carrier, rows, row_ids, related, tol),
-    }
+    witnesses = {"QM2": qm2, "QM3": qm3, "QM4": qm4, "QM5": qm5,
+                 "QM6": _triangle_breach(carrier, rows, row_ids, tol, symmetric),
+                 "congruence": _congruence_breach(carrier, rows, row_ids, related, tol)}
     reports.extend(AxiomReport(axiom, w is None, w) for axiom, w in witnesses.items())
     return reports
 
 
-def _triangle_breach(
-    carrier: Sequence[str],
-    rows: Sequence[Sequence[float]],
-    row_ids: Sequence[int],
-    tol: float,
-) -> Optional[tuple[str, str, str]]:
+def _triangle_breach(carrier: Sequence[str], rows: Sequence[Sequence[float]],
+                     row_ids: Sequence[int], tol: float,
+                     symmetric: bool) -> Optional[tuple[str, str, str]]:
     """First (a, b, c) with d(a, c) > d(a, b) + d(b, c) + tol, or None.
 
     Whether (a, b, c) fails depends only on row a, d(a, b) and row b, so an
     a whose row already passed, and a b whose (d(a, b), row of b) key was
     already checked for this a, are skipped without moving the first witness.
+    When rows equal columns, (c, b, a) adds what (a, b, c) adds: chains start at c = a.
     """
     ties = repeat(tol)
     passed: set[int] = set()
-    for a, row_a, id_a in zip(carrier, rows, row_ids):
+    for i, (a, row_a, id_a) in enumerate(zip(carrier, rows, row_ids)):
         if id_a in passed:
             continue
+        start = i if symmetric else 0
+        cs, tail_a = carrier[start:], row_a[start:]
         checked: set[tuple[float, int]] = set()
         for b, d_ab, row_b, id_b in zip(carrier, row_a, rows, row_ids):
             key = d_ab, id_b
@@ -254,30 +255,26 @@ def _triangle_breach(
                 continue
             checked.add(key)
             # d(a, c) > d(a, b) + d(b, c) + tol per c, in C; the first c that fails is the witness.
-            fails = map(gt, row_a, map(add, map(add, repeat(d_ab), row_b), ties))
-            for c in compress(carrier, fails):
+            fails = map(gt, tail_a, map(add, map(add, repeat(d_ab), row_b[start:]), ties))
+            for c in compress(cs, fails):
                 return a, b, c
         passed.add(id_a)
     return None
 
 
-def _congruence_breach(
-    carrier: Sequence[str],
-    rows: Sequence[Sequence[float]],
-    row_ids: Sequence[int],
-    related: Sequence[Sequence[bool]],
-    tol: float,
-) -> Optional[tuple[str, str, str]]:
+def _congruence_breach(carrier: Sequence[str], rows: Sequence[Sequence[float]],
+                       row_ids: Sequence[int], related: Sequence[Sequence[bool]],
+                       tol: float) -> Optional[tuple[str, str, str]]:
     """First (a, a2, b) with a ~ a2, a != a2 and |d(a, b) - d(a2, b)| > tol, or None.
 
-    The outcome of a pair depends only on its two rows, so a pair whose row
-    ids already passed is skipped.
+    Only the a2 related to a are walked, and the outcome of a pair depends
+    only on its two rows, so a pair whose row ids already passed is skipped.
     """
     ties = repeat(tol)
     passed: set[tuple[int, int]] = set()
     for a, row_a, id_a, rel_row in zip(carrier, rows, row_ids, related):
-        for a2, row_a2, id_a2, r in zip(carrier, rows, row_ids, rel_row):
-            if r and a != a2 and (id_a, id_a2) not in passed:
+        for a2, row_a2, id_a2 in compress(zip(carrier, rows, row_ids), rel_row):
+            if a != a2 and (id_a, id_a2) not in passed:
                 for b in compress(carrier, map(gt, map(abs, map(sub, row_a, row_a2)), ties)):
                     return a, a2, b
                 passed.add((id_a, id_a2))

@@ -541,6 +541,20 @@ class TestCsvStartLoadsNoJson:
         assert cp.stderr == "[]"
 
 
+class TestJsonReportLoadsNoJsonPackage:
+    # The writer takes its string escaper from the C module _json, which json.encoder
+    # wraps, so a JSON report loads none of the json package either.
+    @pytest.mark.parametrize("argv", [
+        DECOMPOSE_EXAMPLE,
+        ("bridge", str(DATA / "bridge_clean.pid")),
+    ], ids=lambda argv: argv[0])
+    def test_no_json_package(self, argv):
+        cp = subprocess.run([sys.executable, "-c", NO_JSON_CHILD, *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == "[]"
+
+
 # Writes to stderr which of random and cmath the process holds after running argv.
 NO_RANDOM_CHILD = """
 import sys
@@ -824,6 +838,23 @@ class TestBridgeReportBytes:
         got = self.run(tmp_path_factory.mktemp("bridge"), sources, pid)
         assert got == self.expected(sources, pid, 1e-12)
 
+    # The pair table formats a row object's degree texts once and keeps them until the last
+    # row that shares the object; a block of 5 pairs splits rows across blocks.
+    @pytest.mark.parametrize("block", [4096, 5])
+    @pytest.mark.parametrize("x", [
+        [i / 1024 for i in range(70)],
+        [min(i, 59 - i) / 64 for i in range(60)],
+        [(i % 7) / 8 for i in range(50)],
+        [0.5],
+        [0.0, 0.25],
+        [0.5, 0.5],
+    ], ids=["all-distinct", "pairs-far-apart", "groups-interleaved", "n1", "n2", "n2-equal"])
+    def test_pair_tables_match_json_dumps(self, tmp_path, monkeypatch, x, block):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        pid = [[1.0 - abs(a - b) for b in x] for a in x]
+        sources = [f"s{i}" for i in range(len(x))]
+        assert self.run(tmp_path, sources, pid) == self.expected(sources, pid, 1e-12)
+
 
 class TestColumnReportBytes:
     """zwm-sweep, fringes and qset-check hand the writer columns; their reports equal
@@ -1035,6 +1066,9 @@ class TestMoreGoldenFiles:
         (("bridge", str(DATA / "bridge_escapes.pid")), 0, "bridge_escapes.json"),
         # A broken zero chain: zero-transitivity, QM4, QM6 and congruence fail on repeated rows.
         (("bridge", str(DATA / "bridge_zero_chain.pid")), 4, "bridge_zero_chain.json"),
+        # Accepted at its tolerance but not its own transpose: the QM6 witness has c before a.
+        (("bridge", str(DATA / "bridge_asymmetric_qm6.pid"), "--tolerance", "0.0009765625"), 4,
+         "bridge_asymmetric_qm6.json"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_output_bytes(self, argv, code, golden):
         cp = run_cli(*argv)
@@ -1425,4 +1459,22 @@ class TestJsonEmitMemory:
         sink = _CountingSink()
         peak = self.traced(lambda: cli.main(argv, stdout=sink))[1]
         added = peak - max(model_peak, model)
+        assert added < sink.written, f"{added / sink.written:.2f} reports"
+
+    def test_pair_table_of_distinct_rows_keeps_no_degree_texts(self):
+        from json.encoder import encode_basestring_ascii
+
+        from indist import qmetric
+
+        # 200 sources at distinct points: no row repeats, so the writer keeps no row's
+        # degree texts and holds about a block of pairs. Kept texts for every row's tail
+        # would add the list's whole text again.
+        x = [i / 1024 for i in range(200)]
+        sources = [f"s{i:03d}" for i in range(len(x))]
+        space, _ = qmetric.from_pid_table(sources, [[1.0 - abs(a - b) for b in x] for a in x])
+        assert space.axioms_hold and len(set(space.base.rows)) == len(x)
+        report = {"degrees": cli._PairTable(sources, space.base.rows)}
+        sink = _CountingSink()
+        added = self.traced(
+            lambda: sink.writelines(cli._json_chunks(report, encode_basestring_ascii)))[1]
         assert added < sink.written, f"{added / sink.written:.2f} reports"
