@@ -1069,6 +1069,9 @@ class TestMoreGoldenFiles:
         # Accepted at its tolerance but not its own transpose: the QM6 witness has c before a.
         (("bridge", str(DATA / "bridge_asymmetric_qm6.pid"), "--tolerance", "0.0009765625"), 4,
          "bridge_asymmetric_qm6.json"),
+        # Rows s00 and s01 are equal as tuples but differ in one zero's sign: each row of
+        # the pid echo keeps its own text.
+        (("bridge", str(DATA / "bridge_signed_zero.pid")), 0, "bridge_signed_zero.json"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_output_bytes(self, argv, code, golden):
         cp = run_cli(*argv)
