@@ -43,7 +43,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, starmap
 from operator import add, countOf, sub
 from struct import Struct
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
@@ -237,42 +237,21 @@ def _scalar(value, esc) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _Texts(dict):
-    """JSON texts keyed by value; float zeros stay out (0.0 == -0.0) and are formatted here."""
-    __missing__ = staticmethod(float.__repr__)
-
-
 def _scalars(values, esc) -> Optional[list[str]]:
     """The JSON text of each value of a column of one scalar type, else None: a mixed
     column (True == 1 == 1.0) or one that nests goes value by value through _json_chunks.
 
-    A column whose first 64 values are mostly repeats formats each distinct value once."""
+    Floats are formatted one by one (0.0 == -0.0); any other column whose first 64 values
+    are mostly repeats formats each distinct value once."""
     types = set(map(type, values))
     if len(types) != 1 or issubclass(next(iter(types)), (list, tuple, dict, _DictRows)):
         return None
     kind = types.pop()
-    keys = values
-    if 2 * len(set(values[:64])) < len(values[:64]):  # mostly repeats: each distinct value once
-        keys = list(set(values) - {0.0} if issubclass(kind, float) else set(values))
-    texts = (_floats(keys, "\n").split("\n") if issubclass(kind, float) else
-             list(map(esc, keys)) if issubclass(kind, str) else [_scalar(v, esc) for v in keys])
-    return texts if keys is values else list(map(_Texts(zip(keys, texts)).__getitem__, values))
-
-
-def _row_texts(rows, parts, esc) -> Optional[list[str]]:
-    """Each row's text, formatted once per distinct row; None unless every value is a
-    plain float and the first 64 rows are mostly repeats. A row is keyed by its bytes,
-    as 0.0 == -0.0 and True == 1 == 1.0 would merge rows whose texts differ."""
-    head, width = rows[:64], len(rows[0])
-    pack = Struct("%dd" % width).pack
-    if (countOf(map(type, chain.from_iterable(head)), float) < width * len(head)
-            or 2 * len({pack(*values) for values in head}) >= len(head)
-            or countOf(map(type, chain.from_iterable(rows)), float) < width * len(rows)):
-        return None
-    keys = [pack(*values) for values in rows]
-    texts = {key: parts[0] + "".join(map(add, _scalars(v, esc), parts[1:]))
-             for key, v in dict(zip(keys, rows)).items()}
-    return list(map(texts.__getitem__, keys))
+    if issubclass(kind, float):
+        return _floats(values, "\n").split("\n")
+    keys = list(set(values)) if 2 * len(set(values[:64])) < len(values[:64]) else values
+    texts = list(map(esc, keys)) if issubclass(kind, str) else [_scalar(v, esc) for v in keys]
+    return texts if keys is values else list(map(dict(zip(keys, texts)).__getitem__, values))
 
 
 class _DictRows:
@@ -300,62 +279,83 @@ class _PairTable:
         return len(self.sources) * (len(self.sources) - 1) // 2
 
 
-_BLOCK = 4096  # list items per chunk, so the texts of one block bound the memory
+_BLOCK = 4096  # list items (or row values) per chunk, so the texts of one chunk bound the memory
+_WIDE = 16  # row width from which a list of plain-float rows is written row by row
 
 
 def _items(value, esc, pad: str):
     """Yield the texts of a non-empty list's items, joined a block at a time.
 
     Scalars are one column; a _DictRows, or lists and tuples of one nonzero length,
-    are a column per field, filled into a row template."""
+    are a column per field, filled into a row template. Rows of _WIDE or more values,
+    every one a plain float, go through _float_rows instead."""
     keyed = isinstance(value, _DictRows)
     if keyed:
         shape = tuple(value.columns)
     else:
         shapes = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
-        shape = shapes.pop() if len(shapes) == 1 else ()
+        shape = shapes.pop() if len(shapes) == 1 else 0
     parts = None
     if shape:
         heads = [esc(k) + ": " for k in shape] if keyed else [""] * shape
         brackets = "{}" if keyed else "[]"
         parts = [brackets[0] + "\n  " + pad + heads[0],
                  *[",\n  " + pad + head for head in heads[1:]], "\n" + pad + brackets[1]]
+    if not keyed and shape >= _WIDE and countOf(
+            map(type, chain.from_iterable(value)), float) == shape * len(value):
+        yield from _float_rows(value, parts, pad)
+        return
     for i in range(0, len(value), _BLOCK):
         yield _block(value[i:i + _BLOCK], keyed, parts, esc, pad)
 
 
+def _float_rows(rows, parts, pad: str):
+    """Yield rows of plain floats of one width as _items writes them, whole rows a chunk,
+    about _BLOCK values each. A row is keyed by its packed doubles across the whole list,
+    since 0.0 == -0.0 merges rows whose texts differ. Each distinct key is formatted once,
+    and its text is kept only until the last row with the same bytes."""
+    keys, sep = list(starmap(Struct("%dd" % len(rows[0])).pack, rows)), ",\n" + pad
+    last, kept, texts, room = {key: i for i, key in enumerate(keys, 1)}, {}, [], _BLOCK
+    for i, (row, key) in enumerate(zip(rows, keys), 1):
+        text = kept.pop(key, None) or parts[0] + _floats(row, parts[1]) + parts[-1]
+        if last[key] > i:
+            kept[key] = text
+        texts.append(text)
+        room -= len(row)
+        if room <= 0 or i == len(rows):
+            yield sep.join(texts)
+            texts, room = [], _BLOCK
+
+
 def _pair_blocks(table: _PairTable, esc, pad: str):
-    """Yield the pair table's items as _items writes the equal dicts, _BLOCK a chunk. A row
-    object's "b" and "degree" texts are formatted once, kept until the last row sharing it."""
+    """Yield the pair table's items as _items writes the equal dicts, whole rows a chunk,
+    about _BLOCK pairs each. A row object's "b" and "degree" texts are formatted once; the
+    part of them the next row sharing the object needs is kept until that row."""
     sources, rows = table.sources, table.rows[:-1]  # the last source starts no pair
     a_part, b_part, d_part = ("\n  " + pad + esc(key) + ": " for key in ("a", "b", "degree"))
     close, sep, names = "\n" + pad + "}", ",\n" + pad, [esc(b) + "," + d_part for b in sources]
-    last, kept, texts, room = {id(row): i for i, row in enumerate(rows, 1)}, {}, [], _BLOCK
-    for i, (a, row) in enumerate(zip(sources, rows), 1):
-        start, tail = kept.pop(id(row), None) or (i, list(map(add, names[i:], _floats(
-            map(sub, repeat(1.0), row[i:]), "\n").split("\n"))))
-        if last[id(row)] > i:
-            kept[id(row)] = start, tail
-        tail, head = tail[i - start:], "{" + a_part + esc(a) + "," + b_part
-        while tail:
-            part, tail = tail[:room], tail[room:]
-            texts.append(head + (close + sep + head).join(part) + close)
-            room -= len(part)
-            if not room:
-                yield sep.join(texts)
-                texts, room = [], _BLOCK
-    if texts:
-        yield sep.join(texts)
+    after, seen = [0] * len(rows), {}  # after[k]: the next row (from 1) sharing row k's object
+    for k in reversed(range(len(rows))):
+        after[k], seen[id(rows[k])] = seen.get(id(rows[k]), 0), k + 1
+    kept, texts, room = {}, [], _BLOCK
+    for i, (a, row, nxt) in enumerate(zip(sources, rows, after), 1):
+        tail = kept.pop(id(row), None) or list(map(add, names[i:], _floats(
+            map(sub, repeat(1.0), row[i:]), "\n").split("\n")))
+        if nxt:
+            kept[id(row)] = tail[nxt - i:]
+        head = "{" + a_part + esc(a) + "," + b_part
+        texts.append(head + (close + sep + head).join(tail) + close)
+        room -= len(tail)
+        if room <= 0 or i == len(rows):
+            yield sep.join(texts)
+            texts, room = [], _BLOCK
 
 
 def _block(rows, keyed: bool, parts, esc, pad: str) -> str:
     """Join rows in one join, each row its template's parts around its field texts and
     each but the first led by the separator; a column that _scalars leaves is written value
-    by value at its field's depth. Repeated rows of plain floats are formatted once each."""
+    by value at its field's depth."""
     sep = ",\n" + pad
-    texts = None if keyed or not parts else _row_texts(rows, parts, esc)
-    if texts:
-        return sep.join(texts)
     inner = pad + "  " if parts else pad
     cols = [_scalars(col, esc) or ["".join(_json_chunks(v, esc, inner)) for v in col]
             for col in  # unnamed: the zip keeps an iterator per row

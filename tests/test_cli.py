@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_qmetric_oracle import reference_from_pid_table
 
 from indist import cli
 from indist.cli import ParseError, parse_pid_table, parse_universe
@@ -781,6 +782,45 @@ class TestRepeatedRows:
         assert _written(report) == json.dumps(report, indent=2)
 
 
+@st.composite
+def wide_float_rows(draw):
+    """Lists of rows 14 to 40 wide, on both sides of the width from which plain-float rows
+    are written row by row: signed zeros, NaNs, infinities and 5e-324, the same row object
+    and equal copies as lists or tuples, and sometimes one row holding a float subclass, a
+    bool or an int, which packs to a float row's bytes and must go through the columns."""
+    width = draw(st.integers(14, 40))
+    cell = st.sampled_from([0.0, -0.0, NAN, FRESH_NAN, math.inf, -math.inf, 5e-324, 1.0, 0.5])
+    cell = cell.map(lambda v: float("nan") if v is FRESH_NAN else v)
+    pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=3))
+    pool += [[-v if v == 0 else v for v in row] for row in pool]  # the signed-zero twin rows
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.sampled_from(["same", "copy", "tuple"])),
+                          min_size=1, max_size=40))
+    rows = [pool[i] if how == "same" else list(pool[i]) if how == "copy" else tuple(pool[i])
+            for i, how in picks]
+    odd = draw(st.sampled_from([None, bool, int, _Float]))
+    if odd is not None:
+        row, k = list(draw(st.sampled_from(pool))), draw(st.integers(0, width - 1))
+        row[k] = odd(row[k] if math.isfinite(row[k]) else 1.0)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+class TestWideFloatRows:
+    """Wide rows of plain floats, each distinct row's bytes formatted once, print json.dumps
+    bytes; whole rows go into each chunk, so a block of 5 values holds one row."""
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(rows=wide_float_rows())
+    def test_match_json_dumps(self, block, rows):
+        from unittest import mock
+
+        report = {"rows": rows, "nested": {"m": [rows, rows[:1]]}}
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert _written(report) == json.dumps(report, indent=2)
+
+
 class TestBridgeReportBytes:
     """The bridge report equals json.dumps of the report built with per-pair degree dicts."""
 
@@ -854,6 +894,74 @@ class TestBridgeReportBytes:
         pid = [[1.0 - abs(a - b) for b in x] for a in x]
         sources = [f"s{i}" for i in range(len(x))]
         assert self.run(tmp_path, sources, pid) == self.expected(sources, pid, 1e-12)
+
+
+@st.composite
+def perturbed_bridge_tables(draw):
+    """Tables 1 - |a - b| of 2 to 80 sources on a line: a few group points, equal rows far
+    apart (i and n - 1 - i), or 64 distinct rows and then repeats. Then any of: a zero's
+    sign swapped between two equal rows, one entry moved by 1 ulp, and the extreme accepted
+    values 5e-324 (for a 0) and 1 - 2**-53 (for a 1)."""
+    n = draw(st.integers(2, 80))
+    layout = draw(st.sampled_from(["groups", "far-apart", "late-repeats"]))
+    if layout == "groups":
+        points = draw(st.lists(st.sampled_from([k / 16 for k in range(17)]), min_size=1,
+                               max_size=4))
+        x = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    elif layout == "far-apart":
+        x = [min(i, n - 1 - i) / 128 for i in range(n)]
+    else:
+        n = max(n, 66)
+        x = [i / 1024 for i in range(64)]
+        x += draw(st.lists(st.sampled_from(x), min_size=n - 64, max_size=n - 64))
+    edits = draw(st.sets(st.sampled_from(["signed-zero", "ulp", "extremes"])))
+    i, j, k = draw(st.permutations(range(n)))[:3] if n > 2 else (0, 1, None)
+    if k is not None and edits & {"signed-zero", "extremes"}:
+        x[i], x[j], x[k] = 0.0, 0.0, 1.0  # pid 0.0 at (i, k) and (j, k)
+    pid = [[1.0 - abs(a - b) for b in x] for a in x]
+    if k is not None and "signed-zero" in edits:
+        pid[i][k] = pid[k][i] = -0.0  # rows i and j stay equal as tuples
+    if k is not None and "extremes" in edits:
+        pid[j][k] = pid[k][j] = 5e-324
+        pid[i][j] = pid[j][i] = 1 - 2 ** -53
+    if "ulp" in edits:
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        pid[a][b] = math.nextafter(pid[a][b], draw(st.sampled_from([-1.0, 2.0])))
+    return [f"s{m}" for m in range(n)], pid
+
+
+class TestBridgeReportMatchesReference:
+    """The bridge report's bytes equal json.dumps of the report of the reference bridge
+    (tests/test_qmetric_oracle.py), whose rows share no object, at blocks of 4096 and 5."""
+
+    @staticmethod
+    def expected(sources, pid, tolerance):
+        from indist import __version__
+
+        space, reports = reference_from_pid_table(sources, pid, tol=tolerance)
+        rows = space.base.rows
+        degrees = [{"a": a, "b": b, "degree": 1.0 - d}
+                   for i, (a, row) in enumerate(zip(sources, rows))
+                   for b, d in zip(sources[i + 1:], row[i + 1:])] if space.axioms_hold else []
+        holds = all(r.holds for r in reports)
+        report = {
+            "command": "bridge", "version": __version__,
+            "inputs": {"sources": sources, "pid": pid, "tolerance": tolerance},
+            "outputs": {"distance": rows, "reports": [r._asdict() for r in reports],
+                        "degrees": degrees, "axioms_hold": holds},
+            "status": 0 if holds else 4,
+        }
+        return report["status"], json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(table=perturbed_bridge_tables())
+    def test_cli_bytes(self, tmp_path_factory, block, table):
+        from unittest import mock
+
+        with mock.patch.object(cli, "_BLOCK", block):
+            got = TestBridgeReportBytes.run(tmp_path_factory.mktemp("bridge"), *table)
+        assert got == self.expected(*table, 1e-12)
 
 
 class TestColumnReportBytes:
@@ -1481,3 +1589,36 @@ class TestJsonEmitMemory:
         added = self.traced(
             lambda: sink.writelines(cli._json_chunks(report, encode_basestring_ascii)))[1]
         assert added < sink.written, f"{added / sink.written:.2f} reports"
+
+    @staticmethod
+    def space_on_a_line(x):
+        from indist import qmetric
+
+        sources = [f"s{i:03d}" for i in range(len(x))]
+        space, _ = qmetric.from_pid_table(sources, [[1.0 - abs(a - b) for b in x] for a in x])
+        assert space.axioms_hold
+        return sources, space.base.rows
+
+    def added_by(self, report):
+        """The peak bytes that writing report's chunks adds, and the text's length."""
+        from json.encoder import encode_basestring_ascii
+
+        sink = _CountingSink()
+        added = self.traced(
+            lambda: sink.writelines(cli._json_chunks(report, encode_basestring_ascii)))[1]
+        return added, sink.written
+
+    def test_distinct_distance_matrix_adds_less_than_its_text(self):
+        # No row repeats, so no row's text is kept past its chunk: the writer holds the
+        # rows' keys and about a block of values, not a block of 4096 rows (the matrix).
+        _, rows = self.space_on_a_line([i / 1024 for i in range(200)])
+        added, written = self.added_by({"distance": rows})
+        assert added < written, f"{added / written:.2f} texts"
+
+    def test_pair_table_of_rows_equal_far_apart_adds_less_than_its_text(self):
+        # Rows i and 199 - i are equal: each shared row object keeps only the part of its
+        # tail that its next row needs, not its first row's whole tail.
+        sources, rows = self.space_on_a_line([min(i, 199 - i) / 1024 for i in range(200)])
+        assert len(set(map(id, rows))) == 100
+        added, written = self.added_by({"degrees": cli._PairTable(sources, rows)})
+        assert added < written, f"{added / written:.2f} texts"
