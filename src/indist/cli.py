@@ -241,17 +241,17 @@ def _scalars(values, esc) -> Optional[list[str]]:
     """The JSON text of each value of a column of one scalar type, else None: a mixed
     column (True == 1 == 1.0) or one that nests goes value by value through _json_chunks.
 
-    Floats are formatted one by one (0.0 == -0.0); any other column whose first 64 values
-    are mostly repeats formats each distinct value once."""
+    Floats are formatted one by one (0.0 == -0.0); any other column formats each distinct
+    value once."""
     types = set(map(type, values))
     if len(types) != 1 or issubclass(next(iter(types)), (list, tuple, dict, _DictRows)):
         return None
     kind = types.pop()
     if issubclass(kind, float):
         return _floats(values, "\n").split("\n")
-    keys = list(set(values)) if 2 * len(set(values[:64])) < len(values[:64]) else values
+    keys = list(set(values))
     texts = list(map(esc, keys)) if issubclass(kind, str) else [_scalar(v, esc) for v in keys]
-    return texts if keys is values else list(map(dict(zip(keys, texts)).__getitem__, values))
+    return list(map(dict(zip(keys, texts)).__getitem__, values))
 
 
 class _DictRows:
@@ -288,7 +288,7 @@ def _items(value, esc, pad: str):
 
     Scalars are one column; a _DictRows, or lists and tuples of one nonzero length,
     are a column per field, filled into a row template. Rows of _WIDE or more values,
-    every one a plain float, go through _float_rows instead."""
+    every one a plain float, go through _kept_rows instead."""
     keyed = isinstance(value, _DictRows)
     if keyed:
         shape = tuple(value.columns)
@@ -303,52 +303,48 @@ def _items(value, esc, pad: str):
                  *[",\n  " + pad + head for head in heads[1:]], "\n" + pad + brackets[1]]
     if not keyed and shape >= _WIDE and countOf(
             map(type, chain.from_iterable(value)), float) == shape * len(value):
-        yield from _float_rows(value, parts, pad)
+        yield from _kept_rows(value, ",\n" + pad, lambda i, row: parts[0] + _floats(
+            row, parts[1]) + parts[-1], lambda i, text: text, 0)
         return
     for i in range(0, len(value), _BLOCK):
         yield _block(value[i:i + _BLOCK], keyed, parts, esc, pad)
 
 
-def _float_rows(rows, parts, pad: str):
-    """Yield rows of plain floats of one width as _items writes them, whole rows a chunk,
-    about _BLOCK values each. A row is keyed by its packed doubles across the whole list,
-    since 0.0 == -0.0 merges rows whose texts differ. Each distinct key is formatted once,
-    and its text is kept only until the last row with the same bytes."""
-    keys, sep = list(starmap(Struct("%dd" % len(rows[0])).pack, rows)), ",\n" + pad
-    last, kept, texts, room = {key: i for i, key in enumerate(keys, 1)}, {}, [], _BLOCK
-    for i, (row, key) in enumerate(zip(rows, keys), 1):
-        text = kept.pop(key, None) or parts[0] + _floats(row, parts[1]) + parts[-1]
-        if last[key] > i:
-            kept[key] = text
-        texts.append(text)
-        room -= len(row)
+def _kept_rows(rows, sep: str, texts, join, step: int):
+    """Yield join(i, t) for each row i (from 1) of rows of plain floats of one width, whole
+    rows a chunk, about _BLOCK values each; t = texts(i, row) formats row[step * i:], one
+    text per value when step is 1. Rows are keyed by their packed doubles (0.0 == -0.0
+    merges rows whose texts differ) in an up-front index of the next row with the same
+    bytes; the keys are then dropped, so one int per row is held while writing. A row's t
+    is formatted once and kept, less the part that next row does not need, until that row."""
+    after, seen = [0] * len(rows), {}  # after[k]: the next row (from 1) with row k's bytes
+    for k, key in zip(range(len(rows), 0, -1),
+                      starmap(Struct("%dd" % len(rows[0])).pack, reversed(rows))):
+        after[k - 1], seen[key] = seen.get(key, 0), k
+    del seen, key
+    kept, chunk, room = {}, [], _BLOCK
+    for i, (row, nxt) in enumerate(zip(rows, after), 1):
+        t = kept.pop(i, None) or texts(i, row)
+        if nxt:
+            kept[nxt] = t[step * (nxt - i):]
+        chunk.append(join(i, t))
+        room -= len(row) - step * i
         if room <= 0 or i == len(rows):
-            yield sep.join(texts)
-            texts, room = [], _BLOCK
+            yield sep.join(chunk)
+            chunk, room = [], _BLOCK
 
 
 def _pair_blocks(table: _PairTable, esc, pad: str):
-    """Yield the pair table's items as _items writes the equal dicts, whole rows a chunk,
-    about _BLOCK pairs each. A row object's "b" and "degree" texts are formatted once; the
-    part of them the next row sharing the object needs is kept until that row."""
-    sources, rows = table.sources, table.rows[:-1]  # the last source starts no pair
+    """The pair table's items as _items writes the equal dicts, through _kept_rows: a row's
+    "b" and "degree" texts are the tail of its distance row past the diagonal, and its pairs
+    are one join whose separator carries its "a" text. The last source starts no pair."""
+    sources, close, sep = table.sources, "\n" + pad + "}", ",\n" + pad
     a_part, b_part, d_part = ("\n  " + pad + esc(key) + ": " for key in ("a", "b", "degree"))
-    close, sep, names = "\n" + pad + "}", ",\n" + pad, [esc(b) + "," + d_part for b in sources]
-    after, seen = [0] * len(rows), {}  # after[k]: the next row (from 1) sharing row k's object
-    for k in reversed(range(len(rows))):
-        after[k], seen[id(rows[k])] = seen.get(id(rows[k]), 0), k + 1
-    kept, texts, room = {}, [], _BLOCK
-    for i, (a, row, nxt) in enumerate(zip(sources, rows, after), 1):
-        tail = kept.pop(id(row), None) or list(map(add, names[i:], _floats(
-            map(sub, repeat(1.0), row[i:]), "\n").split("\n")))
-        if nxt:
-            kept[id(row)] = tail[nxt - i:]
-        head = "{" + a_part + esc(a) + "," + b_part
-        texts.append(head + (close + sep + head).join(tail) + close)
-        room -= len(tail)
-        if room <= 0 or i == len(rows):
-            yield sep.join(texts)
-            texts, room = [], _BLOCK
+    names = [esc(b) + "," + d_part for b in sources]
+    heads = ["{" + a_part + esc(a) + "," + b_part for a in sources]
+    return _kept_rows(table.rows[:-1], sep, lambda i, row: list(map(add, names[i:], _floats(
+        map(sub, repeat(1.0), row[i:]), "\n").split("\n"))),
+        lambda i, tail: heads[i - 1] + (close + sep + heads[i - 1]).join(tail) + close, 1)
 
 
 def _block(rows, keyed: bool, parts, esc, pad: str) -> str:

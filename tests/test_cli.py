@@ -649,7 +649,7 @@ def pooled_rows(draw):
     pools = draw(st.lists(st.sampled_from(POOLS), min_size=1, max_size=4))
     columns = [st.sampled_from(pool).map(lambda v: float("nan") if v is FRESH_NAN else v)
                for pool in pools]
-    n = draw(st.integers(1, 100))  # most often past the 64-value prefix the tables look at
+    n = draw(st.integers(1, 100))  # rows that repeat values, and rows that do not
     rows = draw(st.lists(st.tuples(*columns), min_size=n, max_size=n))
     kind = draw(st.sampled_from(["list", "tuple", "mixed", "dict"]))
     if kind == "dict":
@@ -743,7 +743,7 @@ def float_row_matrices(draw):
         lambda v: float("nan") if v is FRESH_NAN else v)
     pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=3))
     pool += [[-v if v == 0 else v for v in row] for row in pool]  # the signed-zero twin rows
-    n = draw(st.integers(1, 150))  # most often past the 64 rows the probe looks at
+    n = draw(st.integers(1, 150))  # narrower than cli._WIDE, so written through the columns
     picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
                                     st.sampled_from(["same", "copy", "tuple"])),
                           min_size=n, max_size=n))
@@ -757,7 +757,8 @@ def float_row_matrices(draw):
 
 
 class TestRepeatedRows:
-    """Lists of repeated float rows, formatted once per distinct row, print json.dumps bytes."""
+    """Lists of repeated float rows 1 to 4 wide, which go through the columns (a float column
+    value by value), print json.dumps bytes."""
 
     @settings(max_examples=300, deadline=None)
     @given(rows=float_row_matrices())
@@ -894,6 +895,31 @@ class TestBridgeReportBytes:
         pid = [[1.0 - abs(a - b) for b in x] for a in x]
         sources = [f"s{i}" for i in range(len(x))]
         assert self.run(tmp_path, sources, pid) == self.expected(sources, pid, 1e-12)
+
+
+class TestPairTableBytes:
+    """A pair table whose equal rows are separate list and tuple objects shares their texts:
+    rows are keyed by their bytes, so each distinct row is formatted once."""
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    def test_equal_rows_held_apart_match_json_dumps(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        row = [0.0, 0.5, 0.25, -0.0, 0.75, 0.5, 0.0, 1.0, 0.125]
+        signed = [-v if v == 0 else v for v in row]  # equal as tuples, not in bytes
+        other = [v / 2 for v in row]
+        rows = [row, list(row), tuple(row), signed, other, tuple(row), list(signed), other,
+                row]
+        sources = ["s0", "\u00e9", 's"2', "s%3", "s4", "s5", "s6", "s7", "s8"]
+        formatted = []
+        floats = cli._floats
+        monkeypatch.setattr(cli, "_floats", lambda values, sep: formatted.append(sep)
+                            or floats(values, sep))
+        got = _written({"degrees": cli._PairTable(sources, rows)})
+        degrees = [{"a": a, "b": b, "degree": 1.0 - d}
+                   for i, (a, row) in enumerate(zip(sources, rows))
+                   for b, d in zip(sources[i + 1:], row[i + 1:])]
+        assert got == json.dumps({"degrees": degrees}, indent=2)
+        assert len(formatted) == 3  # row, signed and other; the last row starts no pair
 
 
 @st.composite
@@ -1609,11 +1635,19 @@ class TestJsonEmitMemory:
         return added, sink.written
 
     def test_distinct_distance_matrix_adds_less_than_its_text(self):
-        # No row repeats, so no row's text is kept past its chunk: the writer holds the
-        # rows' keys and about a block of values, not a block of 4096 rows (the matrix).
+        # No row repeats, so no row's text is kept past its chunk: the writer holds one
+        # int per row and about a block of values, not a block of 4096 rows (the matrix).
         _, rows = self.space_on_a_line([i / 1024 for i in range(200)])
         added, written = self.added_by({"distance": rows})
         assert added < written, f"{added / written:.2f} texts"
+
+    def test_distinct_distance_matrix_holds_no_row_keys(self):
+        # Once the next-use index is built the row keys are dropped: the writer holds one
+        # int per row and about a block of values. Every row's packed key held for the
+        # whole emit would add 0.44x the matrix's text on its own.
+        _, rows = self.space_on_a_line([i / 1024 for i in range(200)])
+        added, written = self.added_by({"distance": rows})
+        assert added < 0.6 * written, f"{added / written:.2f} texts"
 
     def test_pair_table_of_rows_equal_far_apart_adds_less_than_its_text(self):
         # Rows i and 199 - i are equal: each shared row object keeps only the part of its
