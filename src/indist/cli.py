@@ -227,45 +227,40 @@ def _floats(values, sep: str) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
-def _scalar(value, esc) -> str:
-    if isinstance(value, str):
-        return esc(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return int.__repr__(value) if isinstance(value, int) else _floats((value,), "")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _scalars(values, esc) -> Optional[list[str]]:
     """The JSON text of each value of a column of one scalar type, else None: a mixed
     column (True == 1 == 1.0) or one that nests goes value by value through _json_chunks.
 
     Floats are formatted one by one (0.0 == -0.0); any other column formats each distinct
-    value once."""
+    value once. A type json cannot write raises json's TypeError."""
     types = set(map(type, values))
-    if len(types) != 1 or issubclass(next(iter(types)), (list, tuple, dict, _DictRows)):
+    kind = types.pop() if len(types) == 1 else list  # mixed: value by value, as nested
+    if issubclass(kind, (list, tuple, dict, _DictRows)):
         return None
-    kind = types.pop()
     if issubclass(kind, float):
         return _floats(values, "\n").split("\n")
+    if issubclass(kind, str):
+        text = esc
+    elif kind is bool or kind is type(None):
+        text = {True: "true", False: "false", None: "null"}.__getitem__
+    elif issubclass(kind, int):
+        text = int.__repr__
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     keys = list(set(values))
-    texts = list(map(esc, keys)) if issubclass(kind, str) else [_scalar(v, esc) for v in keys]
-    return list(map(dict(zip(keys, texts)).__getitem__, values))
+    return list(map(dict(zip(keys, map(text, keys))).__getitem__, values))
 
 
 class _DictRows:
-    """A list of dicts with one key order, held as one list per key: the writer fills
-    its row template from these columns and never builds the dicts."""
+    """A list of rows with one key order, held as one list per key: the writer fills its
+    row template from these columns and never builds the rows. A keyed row is a dict,
+    any other row the list of its values."""
 
-    def __init__(self, columns: dict):
-        self.columns = columns
+    def __init__(self, columns: dict, keyed: bool = True):
+        self.columns, self.keyed = columns, keyed
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))  # no columns: no rows
-
-    def __getitem__(self, span: slice) -> _DictRows:
-        return _DictRows({key: column[span] for key, column in self.columns.items()})
 
 
 class _PairTable:
@@ -280,34 +275,31 @@ class _PairTable:
 
 
 _BLOCK = 4096  # list items (or row values) per chunk, so the texts of one chunk bound the memory
-_WIDE = 16  # row width from which a list of plain-float rows is written row by row
 
 
 def _items(value, esc, pad: str):
     """Yield the texts of a non-empty list's items, joined a block at a time.
 
-    Scalars are one column; a _DictRows, or lists and tuples of one nonzero length,
-    are a column per field, filled into a row template. Rows of _WIDE or more values,
-    every one a plain float, go through _kept_rows instead."""
-    keyed = isinstance(value, _DictRows)
-    if keyed:
-        shape = tuple(value.columns)
-    else:
-        shapes = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
-        shape = shapes.pop() if len(shapes) == 1 else 0
-    parts = None
-    if shape:
-        heads = [esc(k) + ": " for k in shape] if keyed else [""] * shape
-        brackets = "{}" if keyed else "[]"
+    A _DictRows is a column per key, filled into a row template. A list of list or tuple
+    rows of one nonzero width, every value a plain float, goes through _kept_rows; any
+    other list is one column."""
+    if isinstance(value, _DictRows):
+        columns, brackets = list(value.columns.values()), "{}" if value.keyed else "[]"
+        heads = [esc(k) + ": " if value.keyed else "" for k in value.columns]
         parts = [brackets[0] + "\n  " + pad + heads[0],
                  *[",\n  " + pad + head for head in heads[1:]], "\n" + pad + brackets[1]]
-    if not keyed and shape >= _WIDE and countOf(
-            map(type, chain.from_iterable(value)), float) == shape * len(value):
-        yield from _kept_rows(value, ",\n" + pad, lambda i, row: parts[0] + _floats(
-            row, parts[1]) + parts[-1], lambda i, text: text, 0)
+        for i in range(0, len(value), _BLOCK):
+            yield _block([column[i:i + _BLOCK] for column in columns], parts, esc, pad)
+        return
+    widths = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
+    width = widths.pop() if len(widths) == 1 else 0
+    if width and countOf(map(type, chain.from_iterable(value)), float) == width * len(value):
+        head, sep, close = "[\n  " + pad, ",\n  " + pad, "\n" + pad + "]"
+        yield from _kept_rows(value, ",\n" + pad, lambda i, row: head + _floats(
+            row, sep) + close, lambda i, text: text, 0)
         return
     for i in range(0, len(value), _BLOCK):
-        yield _block(value[i:i + _BLOCK], keyed, parts, esc, pad)
+        yield _block([value[i:i + _BLOCK]], None, esc, pad)
 
 
 def _kept_rows(rows, sep: str, texts, join, step: int):
@@ -347,15 +339,15 @@ def _pair_blocks(table: _PairTable, esc, pad: str):
         lambda i, tail: heads[i - 1] + (close + sep + heads[i - 1]).join(tail) + close, 1)
 
 
-def _block(rows, keyed: bool, parts, esc, pad: str) -> str:
-    """Join rows in one join, each row its template's parts around its field texts and
-    each but the first led by the separator; a column that _scalars leaves is written value
-    by value at its field's depth."""
+def _block(columns, parts, esc, pad: str) -> str:
+    """Join a block of rows in one join, each row its template's parts around its field
+    texts and each but the first led by the separator; with no parts, the one column's
+    texts joined by the separator. A column that _scalars leaves is written value by value
+    at its field's depth."""
     sep = ",\n" + pad
     inner = pad + "  " if parts else pad
     cols = [_scalars(col, esc) or ["".join(_json_chunks(v, esc, inner)) for v in col]
-            for col in  # unnamed: the zip keeps an iterator per row
-            (rows.columns.values() if keyed else zip(*rows) if parts else [rows])]
+            for col in columns]
     if not parts:
         return sep.join(cols[0])
     fields = chain.from_iterable(zip(cols, map(repeat, parts[1:])))  # column k, then part k + 1
@@ -367,7 +359,7 @@ def _json_chunks(value, esc, pad: str = ""):
 
     A list is written through _items (a _PairTable through _pair_blocks), one chunk per block."""
     if not isinstance(value, (list, tuple, dict, _DictRows, _PairTable)):
-        yield _scalar(value, esc)
+        yield _scalars([value], esc)[0]
         return
     if not value:
         yield "{}" if isinstance(value, dict) else "[]"
@@ -492,7 +484,8 @@ def cmd_fringes(args) -> tuple[int, Iterable[str]]:
     if args.output == "csv":
         return EXIT_OK, _csv("phase_rad,rate", (phis, rates), f"visibility,{visibility!r}\n")
     inputs = {name: getattr(args, name) for name in (*DENSITY_ARGS, "samples")}
-    return _json(args, inputs, {"samples": list(zip(phis, rates)), "visibility": visibility})
+    samples = _DictRows({"phase_rad": phis, "rate": rates}, keyed=False)
+    return _json(args, inputs, {"samples": samples, "visibility": visibility})
 
 
 def _separation_witnesses(universe: quasiset.Universe) -> list[list[str]]:
@@ -517,7 +510,7 @@ def cmd_qset_check(args) -> tuple[int, Iterable[str]]:
     x, z, w, reports = list(zip(*quasiset.theorem_instances(universe))) or [()] * 4
     instances = _DictRows({"x": x, "z": z, "w": w, "holds": [r.holds for r in reports],
                            "counterexample": [r.counterexample for r in reports]})
-    witnesses = _separation_witnesses(universe)
+    witnesses = _DictRows(dict(zip("ab", zip(*_separation_witnesses(universe)))), keyed=False)
     all_hold = all(r.holds for r in eq_reports) and all(instances.columns["holds"])
 
     atoms = [universe.atoms[k] for k in sorted(universe.atoms)]

@@ -676,6 +676,42 @@ class TestUnserializableValue:
         assert str(exc.value) == str(expected.value)
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class TestScalarTexts:
+    """Lone scalars and columns of one scalar type print json.dumps bytes, and a column of
+    one type json cannot write raises json's TypeError."""
+
+    @pytest.mark.parametrize("values", [
+        [True, False, True],
+        [None, None],
+        [2 ** 70, -(2 ** 70), 2 ** 70],
+        [_Int(3), _Int(-1), _Int(3)],
+        [_Str("%s"), _Str("\u00e9"), _Str("%s")],
+        [_Float(-0.0), _Float(0.0), _Float("nan")],
+    ], ids=["bool", "none", "big-int", "int-subclass", "str-subclass", "float-subclass"])
+    def test_match_json_dumps(self, values):
+        report = {"lone": {str(i): v for i, v in enumerate(values)},
+                  "items": [[v] for v in values], "column": values,
+                  "rows": cli._DictRows({"v": values})}
+        expected = {**report, "rows": [{"v": v} for v in values]}
+        assert _written(report) == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("value", [[{1}, {2}], [{1}, 1.0], {1}])
+    def test_set_raises_the_text_of_json_dumps(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({"k": value}, indent=2)
+        with pytest.raises(TypeError) as exc:
+            _written({"k": value})
+        assert str(exc.value) == str(expected.value)
+
+
 class TestColumnarWriter:
     """Columns of repeated values and same-shaped rows still print json.dumps(indent=2) bytes."""
 
@@ -743,7 +779,7 @@ def float_row_matrices(draw):
         lambda v: float("nan") if v is FRESH_NAN else v)
     pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=3))
     pool += [[-v if v == 0 else v for v in row] for row in pool]  # the signed-zero twin rows
-    n = draw(st.integers(1, 150))  # narrower than cli._WIDE, so written through the columns
+    n = draw(st.integers(1, 150))  # plain-float rows go through cli._kept_rows at any width
     picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
                                     st.sampled_from(["same", "copy", "tuple"])),
                           min_size=n, max_size=n))
@@ -757,8 +793,8 @@ def float_row_matrices(draw):
 
 
 class TestRepeatedRows:
-    """Lists of repeated float rows 1 to 4 wide, which go through the columns (a float column
-    value by value), print json.dumps bytes."""
+    """Lists of repeated float rows 1 to 4 wide, written row by row (or, holding a bool, an
+    int or a float subclass, as one column of rows), print json.dumps bytes."""
 
     @settings(max_examples=300, deadline=None)
     @given(rows=float_row_matrices())
@@ -785,10 +821,10 @@ class TestRepeatedRows:
 
 @st.composite
 def wide_float_rows(draw):
-    """Lists of rows 14 to 40 wide, on both sides of the width from which plain-float rows
-    are written row by row: signed zeros, NaNs, infinities and 5e-324, the same row object
-    and equal copies as lists or tuples, and sometimes one row holding a float subclass, a
-    bool or an int, which packs to a float row's bytes and must go through the columns."""
+    """Lists of rows 14 to 40 wide, written row by row when every value is a plain float:
+    signed zeros, NaNs, infinities and 5e-324, the same row object and equal copies as
+    lists or tuples, and sometimes one row holding a float subclass, a bool or an int, which
+    packs to a float row's bytes and must make the list one column of rows."""
     width = draw(st.integers(14, 40))
     cell = st.sampled_from([0.0, -0.0, NAN, FRESH_NAN, math.inf, -math.inf, 5e-324, 1.0, 0.5])
     cell = cell.map(lambda v: float("nan") if v is FRESH_NAN else v)
@@ -1106,6 +1142,23 @@ class TestColumnReportBytes:
 
     def test_dict_rows_without_columns(self):
         assert _written({"k": cli._DictRows({})}) == json.dumps({"k": []}, indent=2)
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    @pytest.mark.parametrize("columns", [
+        {"phase": [i / 7 for i in range(13)], "rate": [-0.0, math.nan, math.inf] * 4 + [5e-324]},
+        {"a": ["x", "%s", "\u00e9\"", "x"] * 3, "b": ["", "\ud800", "y", "%"] * 3},
+        {"n": [1, True, 1.0, None] * 3, "t": [[0.5], {"k": -0.0}, (), "s"] * 3},
+        {"only": [0.25, -0.0] * 6},
+        {},
+    ], ids=["floats", "strings", "mixed-and-nested", "one-column", "no-columns"])
+    def test_unkeyed_dict_rows_are_list_rows(self, block, columns):
+        from unittest import mock
+
+        rows = [list(values) for values in zip(*columns.values())]
+        value = {"rows": cli._DictRows(columns, keyed=False),
+                 "nested": [cli._DictRows(columns, keyed=False)]}
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert _written(value) == json.dumps({"rows": rows, "nested": [rows]}, indent=2)
 
     def test_zwm_sweep_builds_no_rows(self, monkeypatch):
         from indist import zwm
@@ -1578,6 +1631,21 @@ class TestJsonEmitMemory:
         block = sink.written * 4096 / n  # the text of one 4096-row block
         added = peak - max(model_peak, columns)
         assert added <= 4 * block, f"{added / block:.2f} blocks"
+
+    def test_fringes_adds_less_than_its_text(self):
+        # The samples go to the writer as the model's two columns: no (phase, rate) tuple
+        # per sample, which alone would add about the report's text again.
+        from indist import onephoton
+
+        n = TestCsvEmitMemory.N
+        argv = [*FRINGES_EXAMPLE[:-1], str(n)]
+        columns, model_peak = self.traced(lambda: onephoton._fringe_columns(
+            onephoton.DensityOperator2(0.64, 0.36, 0.24), 1.0, n))
+        assert cli.main(argv, stdout=_CountingSink()) == 0  # imports outside the trace
+        sink = _CountingSink()
+        peak = self.traced(lambda: cli.main(argv, stdout=sink))[1]
+        added = peak - max(model_peak, columns)
+        assert added < 0.6 * sink.written, f"{added / sink.written:.2f} texts"
 
     def test_bridge_adds_less_than_the_report(self, tmp_path):
         from indist import qmetric
