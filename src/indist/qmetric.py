@@ -351,36 +351,28 @@ def from_pid_table(
     if len(pid) != n or any(len(row) != n for row in pid):
         raise MalformedTable(f"table must be {n}x{n}")
 
-    # One row-major pass checks each entry by differentiation_space's range rule, builds the
-    # distance rows and the zero-distance graph; symmetry is checked at a pair's upper entry.
+    # One row-major pass checks each entry by differentiation_space's range rule and builds
+    # the distance rows; symmetry is checked at a pair's upper entry.
     tol = _read(tol)
     hi = 1.0 + tol
     rows: list[tuple[float, ...]] = []
-    adjacency: dict[str, list[str]] = {name: [] for name in names}
     checked: dict[tuple[float, ...], list[tuple[float, ...]]] = {}  # row -> [its distances]
     try:
-        for i, (a, row, column) in enumerate(zip(names, pid, zip(*pid))):
+        for i, (row, column) in enumerate(zip(pid, zip(*pid))):
             key, upper = tuple(row), column[i + 1 :]
             shared = checked.setdefault(key, []) if countOf(map(type, key), float) == n else []
             if shared and key[i + 1 :] == upper and countOf(map(type, upper), float) == len(upper):
                 d_row = shared[0]
-                for b in compress(names[i + 1 :], map(ge, repeat(tol), d_row[i + 1 :])):
-                    adjacency[a].append(b)
-                    adjacency[b].append(a)
             else:
                 d_row = []
-                for j, (b, v) in enumerate(zip(names, row)):
+                for j, v in enumerate(row):
                     v = float(v)
                     d = 1.0 - v
                     if not (math.isfinite(v) and -tol <= v <= hi and -tol <= d <= hi):
                         raise MalformedTable(f"value {v!r} at ({i}, {j}) outside [0, 1]")
                     d_row.append(d)
-                    if j > i:
-                        if abs(v - pid[j][i]) > tol:
-                            raise MalformedTable(f"asymmetry at ({i}, {j})")
-                        if d <= tol:
-                            adjacency[a].append(b)
-                            adjacency[b].append(a)
+                    if j > i and abs(v - pid[j][i]) > tol:
+                        raise MalformedTable(f"asymmetry at ({i}, {j})")
                 d_row = tuple(d_row)
                 shared.append(d_row)
             if abs(row[i] - 1.0) > tol:
@@ -389,6 +381,12 @@ def from_pid_table(
     except OverflowError:  # an int past the largest float: v, or pid[j][i] read for symmetry
         at = (j, i) if isinstance(v, float) else (i, j)
         raise MalformedTable(f"value at {at} outside [0, 1]: too large for a float") from None
+    # The zero-distance graph: an edge for each pair past the diagonal at distance <= tol.
+    adjacency: dict[str, list[str]] = {name: [] for name in names}
+    for i, (a, d_row) in enumerate(zip(names, rows)):
+        for b in compress(names[i + 1 :], map(ge, repeat(tol), d_row[i + 1 :])):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
     base = QuasiMetricSpace(tuple(names), _RowTable(tuple(names), tuple(rows)))
 
     # Species = connected components of the zero-distance graph, each

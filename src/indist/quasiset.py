@@ -141,7 +141,6 @@ class Universe:
                 elif m not in self.atoms and m not in self.qsets:
                     raise MalformedUniverse(f"qset {name!r} references unknown term {m!r}", name)
         self._macro_fingerprint = macro_keys = {m: frozenset(qs) for m, qs in holders.items()}
-        order = self._members_first(listed)
 
         # Hash-consed signatures: each term gets a small int, equal exactly
         # when the hereditary species-count signatures are equal.  A qset's
@@ -153,43 +152,36 @@ class Universe:
             key = ("m", atom.species) if atom.kind == MICRO else ("M", macro_keys[uid])
             self._sig[uid] = self._ids.setdefault(key, len(self._ids))
             self._classical[uid] = atom.kind == MACRO
-        for name in order:
-            members = self.qsets[name]
-            self._sig[name] = self._ids.setdefault(self._collection_key(members), len(self._ids))
-            self._classical[name] = all(self._classical[m] for m in members)
+        # An iterative DFS signs each qset as it finishes it, so _sig holds the
+        # finished terms; a started qset met again before it finishes is a cycle.
+        started: set[str] = set()
+        for root in listed:
+            if root in self._sig:
+                continue
+            started.add(root)
+            stack = [(root, iter(listed[root]))]
+            while stack:
+                name, members = stack[-1]
+                for m in members:
+                    if m in self._sig:
+                        continue
+                    if m in started:
+                        raise MalformedUniverse(
+                            f"qset {m!r} contains itself (directly or transitively)", m
+                        )
+                    started.add(m)
+                    stack.append((m, iter(listed[m])))
+                    break
+                else:
+                    stack.pop()
+                    key = self._collection_key(self.qsets[name])
+                    self._sig[name] = self._ids.setdefault(key, len(self._ids))
+                    self._classical[name] = all(self._classical[m] for m in listed[name])
 
         classes: dict[int, list[str]] = {}
         for name, sig in self._sig.items():
             classes.setdefault(sig, []).append(name)
         self._classes = {sig: frozenset(names) for sig, names in classes.items()}
-
-    @staticmethod
-    def _members_first(listed: dict[str, tuple[str, ...]]) -> list[str]:
-        """Qset names, members before containers, by an iterative DFS that rejects cycles."""
-        state: dict[str, int] = {}  # 1 on the stack, 2 done
-        order: list[str] = []
-        for root in listed:
-            if root in state:
-                continue
-            state[root] = 1
-            stack = [(root, iter(listed[root]))]
-            while stack:
-                name, members = stack[-1]
-                for m in members:
-                    if m not in listed or state.get(m) == 2:
-                        continue
-                    if state.get(m) == 1:
-                        raise MalformedUniverse(
-                            f"qset {m!r} contains itself (directly or transitively)", m
-                        )
-                    state[m] = 1
-                    stack.append((m, iter(listed[m])))
-                    break
-                else:
-                    stack.pop()
-                    state[name] = 2
-                    order.append(name)
-        return order
 
     def _collection_key(self, members: frozenset[str]) -> tuple:
         return ("q", tuple(sorted([self._sig[m] for m in members])))

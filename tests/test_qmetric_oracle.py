@@ -401,6 +401,15 @@ def _compare_bridges(sources, pid, tol):
 BRIDGE_TOLERANCES = [0.0, 1.5e-16, 1e-12, 1e-6, 0.1]
 
 
+@pytest.mark.parametrize("pid, species", [([[1.0, 0.95], [0.85, 1.0]], ["a", "a"]),
+                                           ([[1.0, 0.85], [0.95, 1.0]], ["a", "b"])])
+def test_zero_distance_graph_reads_the_upper_triangle(pid, species):
+    # Both tables pass the symmetry test at tol 0.1; only the entry past the
+    # diagonal decides whether a and b are joined by a zero-distance edge.
+    got = _compare_bridges(["a", "b"], pid, 0.1)
+    assert got[0] == "ok" and got[3] == species
+
+
 @st.composite
 def degree_tables(draw):
     """Grouped degree tables, then a few entries set to edge values or skewed by ulps and tol.

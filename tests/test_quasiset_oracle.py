@@ -7,8 +7,12 @@ verbatim as oracles.  Reports, counterexamples, indistinguishability and
 classes must agree exactly, for any relation, including non-reflexive,
 asymmetric and intransitive ones.  ``reference_separation_witnesses`` is
 the pairwise scan that the per-class ``cli._separation_witnesses`` replaced.
+The interned ints depend on the order a universe lists its atoms, qsets and
+members; ``test_listing_order_changes_no_observation`` checks that nothing
+observable does.
 """
 
+import io
 from collections import Counter
 from random import Random
 
@@ -22,6 +26,7 @@ from conftest import (
     relabel_species,
     theorem_outcomes,
 )
+from indist import cli
 from indist.cli import _separation_witnesses
 from indist.quasiset import (
     MACRO,
@@ -173,6 +178,44 @@ def test_signatures_match_nested_tuple_reference(u, data):
         )
     for x in list(u.qsets) + anonymous:
         assert is_classical_qset(u, x) == reference_is_classical(u, x)
+
+
+def universe_text(u, rng=None):
+    """The universe file of ``u``; with ``rng``, its entry lines and members are shuffled."""
+    order = (lambda xs: rng.sample(xs, len(xs))) if rng else list
+    atoms = [f"  {a.uid} {a.kind}" + (f" {a.species}" if a.species else "")
+             for a in u.atoms.values()]
+    qsets = [f"  {name} = {' '.join(order(sorted(ms)))}" for name, ms in u.qsets.items()]
+    return "\n".join([f"species: {' '.join(sorted(u.species))}", "atoms:", *order(atoms),
+                      "qsets:", *order(qsets), ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=universes(), rng=st.randoms(use_true_random=False))
+def test_listing_order_changes_no_observation(tmp_path_factory, u, rng):
+    # The draws list every qset after its members; a shuffle lists containers
+    # first as often as not, so the members-first walk meets them out of order.
+    atoms = rng.sample(list(u.atoms.values()), len(u.atoms))
+    qsets = {name: rng.sample(sorted(u.qsets[name]), len(u.qsets[name]))
+             for name in rng.sample(list(u.qsets), len(u.qsets))}
+    v = Universe(u.species, atoms, qsets)
+    terms = u.terms()
+    assert v.terms() == terms
+    for s in terms:
+        assert [indist(v, s, t) for t in terms] == [indist(u, s, t) for t in terms]
+        assert indist_class(v, s) == indist_class(u, s)
+    assert [is_classical_qset(v, x) for x in u.qsets] == [is_classical_qset(u, x) for x in u.qsets]
+    assert check_equivalence_axioms(v) == check_equivalence_axioms(u)
+    assert list(theorem_instances(v)) == list(theorem_instances(u))
+
+    path = tmp_path_factory.getbasetemp() / "listing_order.univ"
+    reports = []
+    for text in (universe_text(u), universe_text(u, rng)):
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        reports.append((cli.main(["qset-check", str(path)], stdout=out), out.getvalue()))
+    assert reports[0] == reports[1]
+    assert reports[0][0] in (0, 4)
 
 
 def reference_separation_witnesses(u):
