@@ -298,7 +298,7 @@ def visibility_vs_pid(rho: DensityOperator2) -> VisibilityComparison:
     relation between them can be examined rather than assumed.
     """
     dec = mandel_decompose(rho)
-    v = 2.0 * math.sqrt(rho.rho11 * rho.rho22) * dec.p_id
+    v = 2.0 * math.sqrt(dec.rho_d.rho11 * dec.rho_d.rho22) * dec.p_id
     ratio = v / dec.p_id if dec.p_id > 0.0 else math.nan
     return VisibilityComparison(visibility=v, p_id=dec.p_id, ratio=ratio)
 

@@ -47,7 +47,7 @@ from .quasiset import (
     RelationFn,
     Universe,
     _signature,
-    indist,  # the default relation; benchmark/tracing.py wraps qmetric.indist
+    indist,  # never called here; benchmark/tracing.py wraps qmetric.indist, a KeyError if gone
 )
 
 DEFAULT_TOL = 1e-12

@@ -260,21 +260,14 @@ def ext_identity(u: Universe, x: Term, y: Term) -> bool:
     """Extensional identity: same members (qsets) or same memberships (macros).
 
     Micro-atoms are never extensionally identical to anything, themselves
-    included.
+    included.  Terms resolve as in :func:`indist`, which ext identity entails.
     """
-    x_qset = _is_qset_like(u, x)
-    y_qset = _is_qset_like(u, y)
-    if x_qset and y_qset:
-        return _members(u, x) == _members(u, y)
-    if x_qset or y_qset:
+    if _signature(u, x) != _signature(u, y):
         return False
-    # both atom names
-    for name in (x, y):
-        if name not in u:
-            raise UnknownTerm(f"unknown term {name!r}")
-    if u.is_macro(x) and u.is_macro(y):
-        return u.macro_fingerprint(x) == u.macro_fingerprint(y)
-    return False
+    if _is_qset_like(u, x):  # equal signatures: y is a qset too
+        return _members(u, x) == _members(u, y)
+    # A macro-atom's signature is keyed by its holders, so equal ints suffice.
+    return u.is_macro(x)
 
 
 def quasi_cardinality(u: Universe, x: Term) -> int:
@@ -465,11 +458,11 @@ def quasi_function_check(
     """
     pair_list = list(pairs)
     dom = _members(u, domain)
+    _members(u, codomain)  # resolved like the domain, so a bad codomain raises
 
-    mapped = {a for a, _ in pair_list if isinstance(a, str)}
-    for a in sorted(dom):
-        if a not in mapped:
-            return AxiomReport("quasi-function", False, counterexample=("totality", a))
+    unmapped = sorted(dom - {a for a, _ in pair_list if isinstance(a, str)})
+    if unmapped:
+        return AxiomReport("quasi-function", False, counterexample=("totality", unmapped[0]))
 
     for i, (a, b) in enumerate(pair_list):
         for a2, b2 in pair_list[i:]:

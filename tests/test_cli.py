@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1265,6 +1266,14 @@ class TestMoreGoldenFiles:
         assert cp.returncode == code, cp.stderr
         assert cp.stderr == ""
         assert cp.stdout == (GOLDEN / golden).read_text()
+
+    def test_ci_golden_step_names_every_golden_file_once_per_list(self):
+        # Both lists in the workflow's python -S step are kept by hand.
+        workflow = (HERE.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        (step,) = [s for s in re.split(r"\n\s*- name: ", workflow) if "python -S -u -W error" in s]
+        files = sorted(path.name for path in GOLDEN.iterdir())
+        for helper in ("golden", "golden_out"):
+            assert sorted(re.findall(rf"^\s*{helper} \d+ (\S+)", step, re.M)) == files, helper
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import typing
 from contextlib import contextmanager
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -36,6 +37,7 @@ from indist.onephoton import (
     mandel_decompose,
     random_density,
     validate_density,
+    visibility_vs_pid,
 )
 from indist.qmetric import (
     DifferentiationSpace,
@@ -227,6 +229,12 @@ class TestIntsReadAsFloats:
 
     def test_signal_state_of_ints(self):
         assert zwm_signal_state(ZwmSetup(1, 0, True)) == (1.0, 0.0, 0j)
+
+    def test_visibility_uses_the_weights_read(self):
+        # Ints cannot show it: the only valid integer weights, 0 and 1, are degenerate.
+        read = visibility_vs_pid(DensityOperator2(Fraction(1, 7), Fraction(6, 7), 0.1))
+        assert read == visibility_vs_pid(DensityOperator2(1 / 7, 6 / 7, 0.1))
+        assert (read.visibility, read.ratio) == (0.2, 0.6998542122237651)
 
 
 @pytest.mark.parametrize("min_diag", [0.5, 0.7, 1, pytest.param(10**400, id="10**400"),

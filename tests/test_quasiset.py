@@ -334,6 +334,58 @@ class TestQuasiFunction:
         assert report.counterexample == ("totality", "p2")
 
 
+@pytest.fixture
+def terms():
+    """A photon; macro-atoms M and N with the same holders, P with others; qsets q and r."""
+    return Universe(
+        species=["photon"],
+        atoms=[Atom("a", MICRO, "photon"), Atom("M", MACRO), Atom("N", MACRO), Atom("P", MACRO)],
+        qsets={"q": ["a", "M", "N"], "r": ["a", "P"]},
+    )
+
+
+QSET_PARTNERS = {"qset": "q", "anonymous": frozenset({"a"})}
+PARTNERS = {**QSET_PARTNERS, "micro": "a", "macro": "M"}
+TERM_POSITIONS = {
+    "ext_identity-x": (lambda u, t, o: ext_identity(u, t, o), PARTNERS),
+    "ext_identity-y": (lambda u, t, o: ext_identity(u, o, t), PARTNERS),
+    "substitutivity-x": (lambda u, t, o: check_substitutivity_surrogate(u, t, o), PARTNERS),
+    "substitutivity-y": (lambda u, t, o: check_substitutivity_surrogate(u, o, t), PARTNERS),
+    "domain": (lambda u, t, o: quasi_function_check(u, [], t, o), QSET_PARTNERS),
+    "codomain": (lambda u, t, o: quasi_function_check(u, [], o, t), QSET_PARTNERS),
+}
+
+
+class TestUnknownTermContract:
+    """Each term position resolves its term as ``indist`` does, whatever the other term is."""
+
+    @pytest.mark.parametrize("bad", ["zz", frozenset({"a", "zz"})], ids=["name", "anonymous"])
+    @pytest.mark.parametrize("call,partner", [
+        pytest.param(call, partner, id=f"{position}-{kind}")
+        for position, (call, partners) in TERM_POSITIONS.items()
+        for kind, partner in partners.items()
+    ])
+    def test_unknown_term_raises_as_in_indist(self, terms, call, partner, bad):
+        with pytest.raises(UnknownTerm):
+            indist(terms, bad, partner)
+        with pytest.raises(UnknownTerm):
+            call(terms, bad, partner)
+
+    @pytest.mark.parametrize("atom", ["a", "M"])
+    def test_atom_codomain_is_not_a_qset(self, terms, atom):
+        with pytest.raises(NotAQset):
+            quasi_function_check(terms, [("a", "a")], "r", atom)
+
+    @pytest.mark.parametrize("atom", ["a", "M"])
+    def test_anonymous_list_against_an_atom_is_false(self, terms, atom):
+        assert not ext_identity(terms, ["a"], atom)
+        assert not ext_identity(terms, atom, ["a"])
+
+    def test_macros_are_ext_identical_exactly_when_their_holders_agree(self, terms):
+        assert ext_identity(terms, "M", "N")
+        assert not ext_identity(terms, "M", "P")
+
+
 class TestUniverseConstruction:
     def test_duplicate_atom(self):
         with pytest.raises(MalformedUniverse):
