@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 from indist.quasiset import (
@@ -81,3 +82,11 @@ def theorem_outcomes(u: Universe) -> dict[tuple[str, str, str], bool]:
         (x, z, w): permutation_theorem_check(u, x, z, w).holds
         for x, z, w in admissible_theorem_instances(u)
     }
+
+
+def plant_unrepeated_collection_key(monkeypatch) -> None:
+    """Model fault: each collection key gets a fresh count, so no two collections are
+    indistinguishable and every permutation-theorem instance fails."""
+    counter, key = itertools.count(), Universe._collection_key
+    monkeypatch.setattr(Universe, "_collection_key",
+                        lambda u, members: key(u, members) + (next(counter),))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import plant_unrepeated_collection_key
 from test_qmetric_oracle import reference_from_pid_table
 
 from indist import cli
@@ -813,8 +814,8 @@ class TestRepeatedRows:
         [[i / 3, -0.0] for i in range(64)] + [[0.5, 0.5]] * 200,
         [[0.5, 0.5]] * 64 + [(i / 3, -0.0) for i in range(200)],
     ], ids=["signed-zero-twins", "bool-int-float-rows", "bool-row-after-repeats", "nan-rows",
-            "float-subclass-rows", "two-blocks", "64-distinct-then-repeats",
-            "64-repeats-then-distinct"])
+            "float-subclass-rows", "two-blocks", "distinct-then-repeats",
+            "repeats-then-distinct"])
     def test_named_cases(self, value):
         report = {"k": value, "%": [value]}
         assert _written(report) == json.dumps(report, indent=2)
@@ -1075,16 +1076,22 @@ class TestColumnReportBytes:
                  f"visibility,{scan.visibility!r}"]
         assert self.main(*argv, "--output", "csv") == (0, "\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("text", [
-        (DATA / "three_photons.univ").read_text(),
-        "species: p q\natoms:\n  a micro p\n  b micro p\n  c micro p\n  d micro q\n"
-        "  e micro q\n  M macro\nqsets:\n  x = a d\n  y = a b d e\n  z = x c M\n",
-        "species: p\natoms:\n  a micro p\n  M macro\n",
-        "species: p\natoms:\nqsets:\n  e =\n  f = e\n",
-    ], ids=["three-photons", "two-species", "no-qsets", "no-atoms"])
-    def test_qset_check(self, tmp_path, text):
+    TWO_SPECIES = ("species: p q\natoms:\n  a micro p\n  b micro p\n  c micro p\n  d micro q\n"
+                   "  e micro q\n  M macro\nqsets:\n  x = a d\n  y = a b d e\n  z = x c M\n")
+
+    @pytest.mark.parametrize("text, fault", [
+        ((DATA / "three_photons.univ").read_text(), False),
+        (TWO_SPECIES, False),
+        ("species: p\natoms:\n  a micro p\n  M macro\n", False),
+        ("species: p\natoms:\nqsets:\n  e =\n  f = e\n", False),
+        (TWO_SPECIES, True),
+    ], ids=["three-photons", "two-species", "no-qsets", "no-atoms", "two-species-key-fault"])
+    def test_qset_check(self, tmp_path, monkeypatch, text, fault):
         from indist import quasiset
 
+        if fault:
+            # Before the parse, so the reference below and the CLI both see the fault.
+            plant_unrepeated_collection_key(monkeypatch)
         path = tmp_path / "universe.univ"
         path.write_text(text)
         universe = parse_universe(text)
@@ -1113,6 +1120,8 @@ class TestColumnReportBytes:
         status = 0 if holds else 4
         assert self.main("qset-check", str(path)) == (
             status, self.report("qset-check", inputs, outputs, status))
+        if fault:  # every instance fails, with its removal as the counterexample
+            assert status == 4 and instances and all(i["counterexample"] for i in instances)
 
     @pytest.mark.parametrize("columns", [
         {"t": [i / 7 for i in range(2 * 4096 + 3)], "p%": [i % 5 * 0.5 for i in range(8195)],

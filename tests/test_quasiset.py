@@ -9,11 +9,18 @@ from random import Random
 
 import pytest
 
-from conftest import random_universe, relabel_micro_uids, relabel_species, theorem_outcomes
+from conftest import (
+    plant_unrepeated_collection_key,
+    random_universe,
+    relabel_micro_uids,
+    relabel_species,
+    theorem_outcomes,
+)
 from indist.quasiset import (
     MACRO,
     MICRO,
     Atom,
+    AxiomReport,
     EmptyClass,
     MalformedUniverse,
     NotAQset,
@@ -260,6 +267,13 @@ class TestPermutationTheorem:
         report = permutation_theorem_check(photons, frozenset({"a", "c"}), "a", "b")
         assert report.holds
 
+    def test_planted_key_fault_fails_at_the_first_removal(self, photons, monkeypatch):
+        # Each removal z1 may be put back as w1 = z1, so (x - z1) + w1 is x itself and a
+        # correct model always holds; only a model fault reaches the failing branch.
+        plant_unrepeated_collection_key(monkeypatch)
+        report = permutation_theorem_check(photons, "x", "a", "c")
+        assert report == AxiomReport("permutation", False, counterexample=("a",))
+
 
 class TestEquivalenceAxioms:
     def test_model_satisfies_q1_q2_q3(self, photons, mixed):
@@ -306,6 +320,23 @@ class TestSubstitutivitySurrogate:
     def test_refuses_indistinguishable_but_not_identical(self, photons):
         with pytest.raises(PreconditionViolated):
             check_substitutivity_surrogate(photons, "a", "b")
+
+    @pytest.mark.parametrize("x, y, counterexample", [
+        ("q1", "q2", ("membership", "Q")),
+        (frozenset({"a"}), "q1", ("membership", "Q")),
+        ("q1", frozenset({"a"}), ("membership", "Q")),
+        (frozenset({"a", "b"}), "x", None),
+    ], ids=["named-twins", "anonymous-first", "anonymous-second", "held-by-none"])
+    def test_membership(self, x, y, counterexample):
+        # q1 and q2 have the same members, but only q1 belongs to Q; no qset holds x.
+        u = Universe(
+            species=["photon"],
+            atoms=[Atom(n, MICRO, "photon") for n in "abc"],
+            qsets={"q1": ["a"], "q2": ["a"], "Q": ["q1"], "x": ["a", "b"]},
+        )
+        report = check_substitutivity_surrogate(u, x, y)
+        assert report.holds == (counterexample is None)
+        assert report.counterexample == counterexample
 
 
 class TestQuasiFunction:

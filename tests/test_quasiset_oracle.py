@@ -7,6 +7,9 @@ verbatim as oracles.  Reports, counterexamples, indistinguishability and
 classes must agree exactly, for any relation, including non-reflexive,
 asymmetric and intransitive ones.  ``reference_separation_witnesses`` is
 the pairwise scan that the per-class ``cli._separation_witnesses`` replaced.
+``reference_substitutivity_surrogate`` also compares the quasi-cardinality
+and the class, which ext identity already decides; the surrogate must
+return its report, or raise its exception type, for every pair of terms.
 The interned ints depend on the order a universe lists its atoms, qsets and
 members; ``test_listing_order_changes_no_observation`` checks that nothing
 observable does.
@@ -33,13 +36,16 @@ from indist.quasiset import (
     MICRO,
     Atom,
     AxiomReport,
+    PreconditionViolated,
     Universe,
     check_equivalence_axioms,
+    check_substitutivity_surrogate,
     ext_identity,
     indist,
     indist_class,
     is_classical_qset,
     permutation_theorem_check,
+    quasi_cardinality,
     theorem_instances,
 )
 
@@ -347,3 +353,52 @@ def test_macros_match_membership_definition(u):
     for s in terms:
         for t in terms:
             assert indist(u, s, t) == (membership_signature(u, s) == membership_signature(u, t))
+
+
+def reference_substitutivity_surrogate(u, x, y):
+    """The surrogate that also compared quasi-cardinality and the class after membership."""
+    if not ext_identity(u, x, y):
+        raise PreconditionViolated("substitutivity applies only to extensionally identical terms")
+
+    for q in sorted(u.qsets):
+        x_in = isinstance(x, str) and x in u.qsets[q]
+        y_in = isinstance(y, str) and y in u.qsets[q]
+        if x_in != y_in:
+            return AxiomReport("Q4-surrogate", False, counterexample=("membership", q))
+
+    def qset_like(t):
+        return not isinstance(t, str) or t in u.qsets
+
+    if qset_like(x) and qset_like(y):
+        if quasi_cardinality(u, x) != quasi_cardinality(u, y):
+            return AxiomReport("Q4-surrogate", False, counterexample=("quasi_cardinality",))
+
+    if indist_class(u, x) != indist_class(u, y):
+        return AxiomReport("Q4-surrogate", False, counterexample=("indist_class",))
+
+    return AxiomReport("Q4-surrogate", True)
+
+
+def surrogate_outcome(check, u, x, y):
+    """The report, or the type of the ValueError raised."""
+    try:
+        return check(u, x, y)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.one_of(universes(), macro_heavy_universes()), data=st.data())
+def test_substitutivity_surrogate_matches_reference(u, data):
+    # Anonymous terms: each named qset's member set (ext-identical to it), drawn
+    # subsets, and an unknown name in either kind of term.
+    names = u.terms()
+    anonymous = [u.qsets[q] for q in sorted(u.qsets)] + [frozenset(), frozenset({"unknown"})]
+    if names:
+        anonymous += data.draw(st.lists(st.frozensets(st.sampled_from(names), max_size=4),
+                                        max_size=4))
+    terms = [*names, "unknown", *anonymous]
+    for x in terms:
+        for y in terms:
+            assert surrogate_outcome(check_substitutivity_surrogate, u, x, y) == (
+                surrogate_outcome(reference_substitutivity_surrogate, u, x, y))
