@@ -320,13 +320,13 @@ def permutation_theorem_check(u: Universe, x: Term, z: str, w: str) -> AxiomRepo
     """Brute-force one instance of the permutation theorem.
 
     Hypotheses: x is a finite qset not extensionally identical to [z]; z is a
-    micro-atom member of x; w is indistinguishable from z and not in x.  The
-    check then ranges over every admissible removal z1 (one-element subset of
-    both [z] and x) and searches, per removal, all one-element qsets w1 of
-    terms indistinguishable from w for one with (x - z1) + w1 = x up to
+    micro-atom member of x; w is indistinguishable from z and not in x.  For
+    each removal of one z1 of [z] from x, the check searches the one-element
+    qsets w1 of [w] = [z] outside x - z1 for one with (x - z1) + w1 = x up to
     indistinguishability.  A failing removal is the counterexample.
     """
     xm = _members(u, x)
+    z_sig, w_sig = _signature(u, z), _signature(u, w)
     if not (isinstance(z, str) and u.is_micro(z)):
         raise PreconditionViolated(f"z = {z!r} is not a micro-atom of the universe")
     if z not in xm:
@@ -336,16 +336,16 @@ def permutation_theorem_check(u: Universe, x: Term, z: str, w: str) -> AxiomRepo
         raise PreconditionViolated("x is extensionally identical to the class [z]")
     if not (isinstance(w, str) and u.is_atom(w)):
         raise PreconditionViolated(f"w = {w!r} is not an atom of the universe")
-    if not indist(u, w, z):
+    if w_sig != z_sig:
         raise PreconditionViolated(f"w = {w!r} is not indistinguishable from z = {z!r}")
     if w in xm:
         raise PreconditionViolated(f"w = {w!r} already belongs to x")
 
     x_sig = _signature(u, xm)
-    w_class = sorted(indist_class(u, w))
     for removal in sorted(xm & z_class):
         reduced = xm - {removal}
-        if not any(_signature(u, reduced | {s}) == x_sig for s in w_class):
+        # A w1 inside x - z1 leaves it one member short of x, so it never matches.
+        if not any(_signature(u, reduced | {s}) == x_sig for s in sorted(z_class - reduced)):
             return AxiomReport("permutation", False, counterexample=(removal,))
     return AxiomReport("permutation", True)
 
@@ -354,19 +354,15 @@ def theorem_instances(u: Universe) -> Iterator[tuple[str, str, str, AxiomReport]
     """Every admissible permutation-theorem instance over the named qsets.
 
     Yields ``(x, z, w, report)`` sorted by x, then z, then w, for each micro
-    member z of x with x not the class [z] and each w of [z] outside x.  The
-    brute force sees z and w only through [z] = [w], so its report is
+    member z of x and each w of [z] outside x; there is none when x is [z].
+    The brute force sees z and w only through [z] = [w], so its report is
     computed once per orbit (x, [z]) and shared by every instance in it.
     """
     for x in sorted(u.qsets):
         members = u.qsets[x]
         per_class: dict[frozenset[str], AxiomReport] = {}
-        for z in sorted(members):
-            if not u.is_micro(z):
-                continue
+        for z in sorted(filter(u.is_micro, members)):
             z_class = indist_class(u, z)
-            if z_class == members:
-                continue  # theorem hypothesis x != [z] excludes this instance
             for w in sorted(z_class - members):
                 if z_class not in per_class:
                     per_class[z_class] = permutation_theorem_check(u, x, z, w)

@@ -1269,6 +1269,8 @@ class TestMoreGoldenFiles:
         # Rows s00 and s01 are equal as tuples but differ in one zero's sign: each row of
         # the pid echo keeps its own text.
         (("bridge", str(DATA / "bridge_signed_zero.pid")), 0, "bridge_signed_zero.json"),
+        # Two species: w = d e is [d] and lists no instance; z = x c M nests x beside a macro.
+        (("qset-check", str(DATA / "two_species.univ")), 0, "qset_check_two_species.json"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_output_bytes(self, argv, code, golden):
         cp = run_cli(*argv)

@@ -274,6 +274,16 @@ class TestPermutationTheorem:
         report = permutation_theorem_check(photons, "x", "a", "c")
         assert report == AxiomReport("permutation", False, counterexample=("a",))
 
+    def test_one_signature_per_removal(self, monkeypatch):
+        # Here the first w1 outside x - z1 is z1 itself, which puts x back together.
+        u = Universe(species=["p"], atoms=[Atom(n, MICRO, "p") for n in "abcd"],
+                     qsets={"x": ["a", "b", "c"]})
+        calls, key = [], Universe._collection_key
+        monkeypatch.setattr(Universe, "_collection_key",
+                            lambda u, members: calls.append(members) or key(u, members))
+        assert permutation_theorem_check(u, "x", "a", "d").holds
+        assert len(calls) == 4  # x's key, then one per removal a, b, c
+
 
 class TestEquivalenceAxioms:
     def test_model_satisfies_q1_q2_q3(self, photons, mixed):
@@ -384,6 +394,8 @@ TERM_POSITIONS = {
     "substitutivity-y": (lambda u, t, o: check_substitutivity_surrogate(u, o, t), PARTNERS),
     "domain": (lambda u, t, o: quasi_function_check(u, [], t, o), QSET_PARTNERS),
     "codomain": (lambda u, t, o: quasi_function_check(u, [], o, t), QSET_PARTNERS),
+    "permutation-z": (lambda u, t, o: permutation_theorem_check(u, "r", t, o), PARTNERS),
+    "permutation-w": (lambda u, t, o: permutation_theorem_check(u, "r", o, t), PARTNERS),
 }
 
 
