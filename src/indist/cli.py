@@ -63,6 +63,13 @@ EXIT_AXIOMS_FAILED = 4
 
 DENSITY_ARGS = ("rho11", "rho22", "rho12_re", "rho12_im")
 
+# A model error's class name -> (exit code, diagnostic prefix); main exits 2 with the
+# text alone on any other ValueError (InvalidDensity, ZeroField, a count out of range).
+_MODEL_ERRORS = {"DegenerateSource": (EXIT_DEGENERATE, "degenerate source: "),
+                 # Subnormal amplitudes lose the precision the normalization needs.
+                 "InvalidSetup": (EXIT_INVALID_INPUT, "bad amplitudes: "),
+                 "MalformedTable": (EXIT_INVALID_INPUT, "malformed table: ")}
+
 
 class CliExit(Exception):
     """Ends a command with an exit code and one diagnostic line for stderr."""
@@ -389,7 +396,8 @@ def _density_dict(rho: onephoton.DensityOperator2) -> dict:
 # -- commands -----------------------------------------------------------------
 #
 # Each command returns (exit status, output chunks) or raises CliExit; main owns stdout,
-# stderr and the --out file. Checks and columns come before the first chunk.
+# stderr and the --out file. Checks and columns come before the first chunk, and a model
+# ValueError from them goes through to main, which maps it by _MODEL_ERRORS.
 
 
 def _density(args) -> onephoton.DensityOperator2:
@@ -414,14 +422,9 @@ def _read(path: str, what: str, parse):
 def cmd_decompose(args) -> tuple[int, Iterable[str]]:
     from . import onephoton
     rho = _density(args)
-    try:  # mandel_decompose checks validity before degeneracy: exit 2 comes before exit 3
-        dec = onephoton.mandel_decompose(rho)
-        coh = onephoton.coherence_functions(rho, 1.0)
-        vis = onephoton.visibility_vs_pid(rho)
-    except onephoton.InvalidDensity as exc:
-        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
-    except onephoton.DegenerateSource as exc:
-        raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
+    dec = onephoton.mandel_decompose(rho)  # validity before degeneracy: exit 2 before exit 3
+    coh = onephoton.coherence_functions(rho, 1.0)
+    vis = onephoton.visibility_vs_pid(rho)
 
     gamma_abs = abs(coh.gamma12_normalized)
     weights = {"p_id": dec.p_id, "p_d": dec.p_d}
@@ -457,15 +460,7 @@ def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
     scale = math.sqrt(norm)
     setup = zwm.ZwmSetup(pump_alpha=alpha / scale, pump_beta=beta / scale,
                          idler_transmission=1.0)
-    try:
-        columns = zwm.sweep_columns(setup, args.steps)
-    except zwm.InvalidSetup as exc:
-        # Subnormal amplitudes lose the precision the normalization needs.
-        raise CliExit(EXIT_INVALID_INPUT, f"bad amplitudes: {exc}") from None
-    except onephoton.DegenerateSource as exc:
-        raise CliExit(EXIT_DEGENERATE, f"degenerate source: {exc}") from None
-    except ValueError as exc:  # a step count out of range; after the two subclasses above
-        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
+    columns = zwm.sweep_columns(setup, args.steps)
 
     names = [field.name for field in fields(zwm.SweepRow)]
     if args.output == "csv":
@@ -476,10 +471,8 @@ def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
 
 def cmd_fringes(args) -> tuple[int, Iterable[str]]:
     from . import onephoton
-    try:  # fringe_scan's columns, with no (phase, rate) tuple per sample
-        phis, rates, visibility = onephoton._fringe_columns(_density(args), 1.0, args.samples)
-    except ValueError as exc:  # an invalid density, or a sample count out of range
-        raise CliExit(EXIT_INVALID_INPUT, str(exc)) from None
+    # fringe_scan's columns, with no (phase, rate) tuple per sample
+    phis, rates, visibility = onephoton._fringe_columns(_density(args), 1.0, args.samples)
 
     if args.output == "csv":
         return EXIT_OK, _csv("phase_rad,rate", (phis, rates), f"visibility,{visibility!r}\n")
@@ -539,10 +532,7 @@ def cmd_bridge(args) -> tuple[int, Iterable[str]]:
         raise CliExit(EXIT_INVALID_INPUT,
                       f"invalid tolerance {tolerance!r}: need a finite number >= 0")
     sources, pid = _read(args.table_file, "table", parse_pid_table)
-    try:
-        space, reports = qmetric.from_pid_table(sources, pid, tol=tolerance)
-    except qmetric.MalformedTable as exc:
-        raise CliExit(EXIT_INVALID_INPUT, f"malformed table: {exc}") from None
+    space, reports = qmetric.from_pid_table(sources, pid, tol=tolerance)
 
     axioms_hold = all(r.holds for r in reports)
     rows = space.base.rows
@@ -620,6 +610,9 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
             out, (status, chunks) = args.out, args.func(args)
         except _Shown as shown:
             out, status, chunks = None, EXIT_OK, [str(shown)]
+        except ValueError as exc:  # by class name, so that main imports no model module
+            code, prefix = _MODEL_ERRORS.get(type(exc).__name__, (EXIT_INVALID_INPUT, ""))
+            raise CliExit(code, prefix + str(exc)) from None
         if not out and stdout is None:  # fd 1 was closed when the interpreter started
             raise CliExit(EXIT_INVALID_INPUT, "cannot write output: stdout is closed")
         try:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import plant_unrepeated_collection_key
 from test_qmetric_oracle import reference_from_pid_table
 
-from indist import cli
+from indist import cli, onephoton, qmetric, quasiset, zwm
 from indist.cli import ParseError, parse_pid_table, parse_universe
 
 HERE = Path(__file__).parent
@@ -556,6 +556,33 @@ class TestJsonReportLoadsNoJsonPackage:
                             capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stderr == "[]"
+
+
+# Runs argv with the C module _json unimportable, then writes to stderr whether the
+# report went through json.encoder's pure-Python string escaper.
+NO_C_JSON_CHILD = """
+import sys
+sys.modules["_json"] = None  # every import of _json now raises ImportError
+from indist.cli import main
+status = main(sys.argv[1:])
+from json import encoder
+sys.stderr.write(repr(encoder.encode_basestring_ascii is encoder.py_encode_basestring_ascii))
+sys.exit(status)
+"""
+
+
+class TestJsonEscaperFallback:
+    # python -S: site may import json, and with it _json, before the child hides _json.
+    @pytest.mark.parametrize("argv,golden", [
+        (DECOMPOSE_EXAMPLE, "decompose_064.json"),
+        (("bridge", str(DATA / "bridge_escapes.pid")), "bridge_escapes.json"),
+    ], ids=["decompose", "bridge-escapes"])
+    def test_golden_bytes_without_c_json(self, argv, golden):
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        cp = subprocess.run([sys.executable, "-S", "-c", NO_C_JSON_CHILD, *argv],
+                            capture_output=True, env=env)
+        assert (cp.returncode, cp.stderr) == (0, b"True")
+        assert cp.stdout == (GOLDEN / golden).read_bytes()
 
 
 # Writes to stderr which of random and cmath the process holds after running argv.
@@ -1278,6 +1305,11 @@ class TestMoreGoldenFiles:
         assert cp.stderr == ""
         assert cp.stdout == (GOLDEN / golden).read_text()
 
+    def test_decompose_csv_in_process(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main([*DECOMPOSE_EXAMPLE, "--output", "csv"], stdout=out, stderr=err) == 0
+        assert (out.getvalue(), err.getvalue()) == ((GOLDEN / "decompose_064.csv").read_text(), "")
+
     def test_ci_golden_step_names_every_golden_file_once_per_list(self):
         # Both lists in the workflow's python -S step are kept by hand.
         workflow = (HERE.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
@@ -1400,6 +1432,42 @@ class TestErrorPaths:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(prefix)
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+class TestModelErrorExits:
+    """main maps a model ValueError raised by a command's checks, by its class name; one
+    raised while the report is written goes through."""
+
+    @pytest.mark.parametrize("argv,module,name,error,code,line", [
+        (DECOMPOSE, onephoton, "mandel_decompose", onephoton.DegenerateSource, 3,
+         "degenerate source: planted"),
+        (ZWM, zwm, "sweep_columns", zwm.InvalidSetup, 2, "bad amplitudes: planted"),
+        (BRIDGE, qmetric, "from_pid_table", qmetric.MalformedTable, 2,
+         "malformed table: planted"),
+        (FRINGES, onephoton, "_fringe_columns", onephoton.ZeroField, 2, "planted"),
+        (QSET, quasiset, "check_equivalence_axioms", ValueError, 2, "planted"),
+        (BRIDGE, qmetric, "from_pid_table", ValueError, 2, "planted"),
+    ], ids=["decompose-DegenerateSource", "zwm-sweep-InvalidSetup", "bridge-MalformedTable",
+            "fringes-ZeroField", "qset-check-ValueError", "bridge-ValueError"])
+    def test_one_line_diagnostic(self, monkeypatch, argv, module, name, error, code, line):
+        def planted(*args, **kwargs):
+            raise error("planted")
+
+        monkeypatch.setattr(module, name, planted)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv.format(data=DATA).split(), stdout=out, stderr=err) == code
+        assert (out.getvalue(), err.getvalue()) == ("", line + "\n")
+
+    def test_error_while_writing_is_not_an_exit(self, monkeypatch):
+        def planted(values, sep):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli, "_floats", planted)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match="planted"):
+            cli.main(list(FRINGES_EXAMPLE), stdout=out, stderr=err)
+        assert out.getvalue().startswith('{\n  "command": "fringes"')
+        assert err.getvalue() == ""
 
 
 class TestByteOrderMark:

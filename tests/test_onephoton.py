@@ -390,6 +390,28 @@ class TestRelativePositivity:
             assert c > 1.0 + ANALYTIC_TOL
 
 
+class _ZeroNormFirst:
+    """A stub generator: four gauss draws of 0.0 (a zero-norm state), then 1.0; random 0.5."""
+
+    def __init__(self):
+        self.gauss_draws = 0
+
+    def gauss(self, mu, sigma):
+        self.gauss_draws += 1
+        return 0.0 if self.gauss_draws <= 4 else 1.0
+
+    def random(self):
+        return 0.5
+
+
+class TestRandomDensity:
+    def test_near_zero_norm_draw_is_redrawn(self):
+        rng = _ZeroNormFirst()
+        rho = random_density(rng)
+        assert rng.gauss_draws == 8
+        assert validate_density(rho) == []
+
+
 class TestRecordApi:
     def test_records_are_immutable_tuples_with_stable_repr(self):
         rho = DensityOperator2(rho11=0.64, rho22=0.36, rho12=0.24)
