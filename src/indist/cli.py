@@ -445,8 +445,6 @@ def cmd_decompose(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
-    from dataclasses import fields
-
     from . import onephoton, zwm
 
     alpha, beta = args.alpha, args.beta
@@ -462,7 +460,7 @@ def cmd_zwm_sweep(args) -> tuple[int, Iterable[str]]:
                          idler_transmission=1.0)
     columns = zwm.sweep_columns(setup, args.steps)
 
-    names = [field.name for field in fields(zwm.SweepRow)]
+    names = zwm.SweepRow._fields
     if args.output == "csv":
         return EXIT_OK, _csv(",".join(names), columns)
     inputs = {name: getattr(args, name) for name in ("alpha", "beta", "steps")}

@@ -21,7 +21,7 @@ counting can tag the emitting crystal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _read, onephoton
 from .onephoton import DensityOperator2, _abs2
@@ -33,8 +33,7 @@ class InvalidSetup(ValueError):
     """Pump split not normalized or idler transmission above unit magnitude."""
 
 
-@dataclass(frozen=True)
-class ZwmSetup:
+class ZwmSetup(NamedTuple):
     """Beam-splitter amplitudes toward the two crystals, plus idler overlap."""
 
     pump_alpha: complex
@@ -42,8 +41,7 @@ class ZwmSetup:
     idler_transmission: complex
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     t_mag: float
     p_id: float
     visibility: float

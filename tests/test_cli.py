@@ -479,6 +479,7 @@ class TestModelCommandsSkipOnephoton:
 
 FRINGES_EXAMPLE = ("fringes", "--rho11", "0.64", "--rho22", "0.36",
                    "--rho12-re", "0.24", "--samples", "8")
+ZWM_EXAMPLE = ("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", "5")
 
 
 # Writes to stderr which of dataclasses and inspect running argv newly imports.
@@ -498,8 +499,11 @@ sys.stderr.write(repr(sorted({"dataclasses", "inspect"} & (set(sys.modules) - be
 class TestLeanStart:
     # sys.modules is diffed instead of reading -X importtime, because site
     # may import dataclasses before indist on some installations.
-    @pytest.mark.parametrize("argv", [DECOMPOSE_EXAMPLE, FRINGES_EXAMPLE, ("--version",)],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [
+        DECOMPOSE_EXAMPLE, FRINGES_EXAMPLE, ("--version",),
+        pytest.param(ZWM_EXAMPLE, id="zwm-sweep-json"),
+        pytest.param((*ZWM_EXAMPLE, "--output", "csv"), id="zwm-sweep-csv"),
+    ], ids=lambda argv: argv[0])
     def test_optics_commands_skip_dataclasses_and_inspect(self, argv):
         cp = subprocess.run([sys.executable, "-c", LEAN_START_CHILD, *argv],
                             capture_output=True, text=True)
@@ -1081,7 +1085,7 @@ class TestColumnReportBytes:
         argv = ("zwm-sweep", "--alpha", "0.8", "--beta", "0.6", "--steps", str(steps))
         inputs = {"alpha": alpha, "beta": beta, "steps": steps}
         assert self.main(*argv) == (0, self.report("zwm-sweep", inputs,
-                                                   {"rows": [vars(r) for r in rows]}))
+                                                   {"rows": [r._asdict() for r in rows]}))
         lines = ["t_mag,p_id,visibility,coincidence_id_prob"]
         lines.extend(f"{r.t_mag!r},{r.p_id!r},{r.visibility!r},{r.coincidence_id_prob!r}"
                      for r in rows)
@@ -1201,13 +1205,13 @@ class TestColumnReportBytes:
         from indist import zwm
 
         built = []
-        init = zwm.SweepRow.__init__
+        new = zwm.SweepRow.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             built.append(args)
-            init(self, *args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(zwm.SweepRow, "__init__", counted)
+        monkeypatch.setattr(zwm.SweepRow, "__new__", counted)
         for output in ("json", "csv"):
             status, _ = self.main("zwm-sweep", "--alpha", "1", "--beta", "2",
                                   "--steps", "50", "--output", output)

@@ -97,6 +97,27 @@ class TestSweep:
             sweep_transmission(ZwmSetup(1.0, 0.0, 1.0), 3)
 
 
+class TestRecordApi:
+    """Both records keep the NamedTuple contract of the other model records."""
+
+    @pytest.mark.parametrize("cls,fields,values", [
+        (ZwmSetup, ("pump_alpha", "pump_beta", "idler_transmission"), (0.8, 0.6j, 1.0)),
+        (SweepRow, ("t_mag", "p_id", "visibility", "coincidence_id_prob"), (0.5, 0.5, 0.5, 0.75)),
+    ], ids=["ZwmSetup", "SweepRow"])
+    def test_records_are_named_tuples(self, cls, fields, values):
+        record = cls(**dict(zip(fields, values)))
+        assert cls._fields == fields
+        assert record == cls(*values) == values
+        assert hash(record) == hash(values)
+        assert list(record._asdict()) == list(fields)
+        assert tuple(record._asdict().values()) == values
+        assert record._replace(**{fields[-1]: 0.0}) == (*values[:-1], 0.0)
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+
+
 class TestTauPhase:
     def test_phase_leaves_p_id_and_visibility_alone(self):
         plain = ZwmSetup(0.8, 0.6, 0.5)

@@ -8,7 +8,6 @@ and setups the reference rejects must raise the same exception.
 """
 
 import cmath
-import dataclasses
 import math
 
 import pytest
@@ -48,7 +47,7 @@ def outcome(fn, setup, steps):
         rows = fn(setup, steps)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return [tuple(repr(v) for v in dataclasses.astuple(row)) for row in rows]
+    return [tuple(repr(v) for v in row) for row in rows]
 
 
 # Smaller source weight: log-uniform down past DIAG_FLOOR, plus its edge.
