@@ -39,6 +39,7 @@ Degree table::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -77,7 +78,6 @@ class CliExit(Exception):
     def __init__(self, code: int, line: str):
         super().__init__(line)
         self.code = code
-        self.line = line
 
 
 class ParseError(ValueError):
@@ -92,19 +92,19 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\S+")
 
 
-def _sections(text: str, inline: str, *names: str):
+def _sections(text: str, *names: str):
     """Yield (section, lineno, line, start) for each content line of a sectioned file.
 
     A line ends at its first '#' and is skipped when blank. A header is one of names,
     then ':' (whitespace may come between); start is the offset after its colon, and 0
-    on an entry line. Only the inline section takes entries after its header's colon."""
+    on an entry line. Only the first name's section takes entries after its header's colon."""
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         head, colon, rest = line.partition(":")
         if colon and head.strip() in names:
             section = head.strip()
-            if section != inline and rest.strip():
+            if section != names[0] and rest.strip():
                 raise ParseError(f"section {section!r} takes no inline entries", lineno)
             yield section, lineno, line, len(head) + 1
         elif line:
@@ -122,7 +122,7 @@ def parse_universe(text: str) -> quasiset.Universe:
     qsets: dict[str, list[str]] = {}
     lines: dict[str, int] = {}  # the line of every atom and qset entry
 
-    for section, lineno, line, start in _sections(text, "species", "species", "atoms", "qsets"):
+    for section, lineno, line, start in _sections(text, "species", "atoms", "qsets"):
         if section == "species":
             for m in _TOKEN.finditer(line, start):
                 label = m.group()
@@ -173,7 +173,7 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
     rows: list[tuple[int, list[float]]] = []  # (line, row)
     headers: dict[str, int] = {}  # the first line of each header
     parsed: dict[str, list[float]] = {}  # line text -> its floats
-    for section, lineno, line, start in _sections(text, "sources", "sources", "pid"):
+    for section, lineno, line, start in _sections(text, "sources", "pid"):
         if start:
             headers.setdefault(section, lineno)
         if section == "sources":
@@ -199,10 +199,6 @@ def parse_pid_table(text: str) -> tuple[list[str], list[list[float]]]:
 
 
 # -- output -------------------------------------------------------------------
-
-def _jsonable(value):
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
 
 def _json(args, inputs: dict, outputs: dict, status: int = EXIT_OK) -> tuple[int, Iterable[str]]:
     try:  # json.encoder's own C function, imported here so that CSV runs load no json
@@ -238,11 +234,11 @@ def _scalars(values, esc) -> Optional[list[str]]:
     """The JSON text of each value of a column of one scalar type, else None: a mixed
     column (True == 1 == 1.0) or one that nests goes value by value through _json_chunks.
 
-    Floats are formatted one by one (0.0 == -0.0); any other column formats each distinct
-    value once. A type json cannot write raises json's TypeError."""
+    Only an exact str or int column formats each distinct value once, as equal values may
+    print differently (0.0 == -0.0, a subclass's ==). An unwritable type raises json's TypeError."""
     types = set(map(type, values))
     kind = types.pop() if len(types) == 1 else list  # mixed: value by value, as nested
-    if issubclass(kind, (list, tuple, dict, _DictRows)):
+    if issubclass(kind, _NESTED):
         return None
     if issubclass(kind, float):
         return _floats(values, "\n").split("\n")
@@ -254,8 +250,9 @@ def _scalars(values, esc) -> Optional[list[str]]:
         text = int.__repr__
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    keys = list(set(values))
-    return list(map(dict(zip(keys, map(text, keys))).__getitem__, values))
+    if kind is str or kind is int:
+        text = {key: text(key) for key in set(values)}.__getitem__
+    return list(map(text, values))
 
 
 class _DictRows:
@@ -281,6 +278,8 @@ class _PairTable:
         return len(self.sources) * (len(self.sources) - 1) // 2
 
 
+_NESTED = (list, tuple, dict, _DictRows, _PairTable)  # what _json_chunks writes as nested
+
 _BLOCK = 4096  # list items (or row values) per chunk, so the texts of one chunk bound the memory
 
 
@@ -289,24 +288,24 @@ def _items(value, esc, pad: str):
 
     A _DictRows is a column per key, filled into a row template. A list of list or tuple
     rows of one nonzero width, every value a plain float, goes through _kept_rows; any
-    other list is one column."""
+    other list is a table of one column whose template adds nothing to its texts."""
     if isinstance(value, _DictRows):
         columns, brackets = list(value.columns.values()), "{}" if value.keyed else "[]"
         heads = [esc(k) + ": " if value.keyed else "" for k in value.columns]
         parts = [brackets[0] + "\n  " + pad + heads[0],
                  *[",\n  " + pad + head for head in heads[1:]], "\n" + pad + brackets[1]]
-        for i in range(0, len(value), _BLOCK):
-            yield _block([column[i:i + _BLOCK] for column in columns], parts, esc, pad)
-        return
-    widths = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
-    width = widths.pop() if len(widths) == 1 else 0
-    if width and countOf(map(type, chain.from_iterable(value)), float) == width * len(value):
-        head, sep, close = "[\n  " + pad, ",\n  " + pad, "\n" + pad + "]"
-        yield from _kept_rows(value, ",\n" + pad, lambda i, row: head + _floats(
-            row, sep) + close, lambda i, text: text, 0)
-        return
+        inner = pad + "  "
+    else:
+        widths = set(map(len, value)) if set(map(type, value)) <= {list, tuple} else ()
+        width = widths.pop() if len(widths) == 1 else 0
+        if width and countOf(map(type, chain.from_iterable(value)), float) == width * len(value):
+            head, sep, close = "[\n  " + pad, ",\n  " + pad, "\n" + pad + "]"
+            yield from _kept_rows(value, ",\n" + pad, lambda i, row: head + _floats(
+                row, sep) + close, lambda i, text: text, 0)
+            return
+        columns, parts, inner = [value], ["", ""], pad
     for i in range(0, len(value), _BLOCK):
-        yield _block([value[i:i + _BLOCK]], None, esc, pad)
+        yield _block([column[i:i + _BLOCK] for column in columns], parts, esc, pad, inner)
 
 
 def _kept_rows(rows, sep: str, texts, join, step: int):
@@ -346,26 +345,22 @@ def _pair_blocks(table: _PairTable, esc, pad: str):
         lambda i, tail: heads[i - 1] + (close + sep + heads[i - 1]).join(tail) + close, 1)
 
 
-def _block(columns, parts, esc, pad: str) -> str:
+def _block(columns, parts, esc, pad: str, inner: str) -> str:
     """Join a block of rows in one join, each row its template's parts around its field
-    texts and each but the first led by the separator; with no parts, the one column's
-    texts joined by the separator. A column that _scalars leaves is written value by value
-    at its field's depth."""
-    sep = ",\n" + pad
-    inner = pad + "  " if parts else pad
+    texts and each but the first led by the separator. A column that _scalars leaves is
+    written value by value at inner, its field's depth."""
     cols = [_scalars(col, esc) or ["".join(_json_chunks(v, esc, inner)) for v in col]
             for col in columns]
-    if not parts:
-        return sep.join(cols[0])
     fields = chain.from_iterable(zip(cols, map(repeat, parts[1:])))  # column k, then part k + 1
-    return "".join(chain.from_iterable(zip(chain(parts[:1], repeat(sep + parts[0])), *fields)))
+    return "".join(chain.from_iterable(
+        zip(chain(parts[:1], repeat(",\n" + pad + parts[0])), *fields)))
 
 
 def _json_chunks(value, esc, pad: str = ""):
     """Yield value as the json module writes it with indent=2, in pieces, nested at pad.
 
     A list is written through _items (a _PairTable through _pair_blocks), one chunk per block."""
-    if not isinstance(value, (list, tuple, dict, _DictRows, _PairTable)):
+    if not isinstance(value, _NESTED):
         yield _scalars([value], esc)[0]
         return
     if not value:
@@ -440,7 +435,8 @@ def cmd_decompose(args) -> tuple[int, Iterable[str]]:
                                           for key, value in part.items()}}
         return EXIT_OK, ["key,value\n" + "%s,%r\n" * len(table) % tuple(
             chain.from_iterable(table.items()))]
-    outputs = {key: _jsonable(value) for key, value in {**weights, **parts, **scalars}.items()}
+    outputs = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in {**weights, **parts, **scalars}.items()}
     return _json(args, {name: getattr(args, name) for name in DENSITY_ARGS}, outputs)
 
 
@@ -614,13 +610,9 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
         if not out and stdout is None:  # fd 1 was closed when the interpreter started
             raise CliExit(EXIT_INVALID_INPUT, "cannot write output: stdout is closed")
         try:
-            fh = open(out, "w", encoding="utf-8") if out else stdout
-            try:
+            with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(stdout) as fh:
                 fh.writelines(chunks)  # a write per chunk
                 fh.flush()
-            finally:
-                if out:
-                    fh.close()
         except OSError as exc:
             # fd 1 goes to os.devnull, so that the exit-time flush cannot fail on it
             # again (the Python docs' note on SIGPIPE).
@@ -629,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout: TextIO = sys.stdout,
             raise CliExit(EXIT_INVALID_INPUT,
                           f"cannot write output{' file' if out else ''}: {exc}") from None
     except CliExit as exc:
-        stderr.write(f"{exc.line}\n")
+        stderr.write(f"{exc}\n")
         return exc.code
     except MemoryError:  # a --steps or --samples too large for this host
         stderr.write("out of memory\n")

@@ -717,6 +717,26 @@ class _Str(str):
     pass
 
 
+class _FoldedStr(str):
+    """Equal to the same text in any case, so 'A' == 'a' though they print differently."""
+
+    def __eq__(self, other):
+        return self.casefold() == str(other).casefold()
+
+    def __hash__(self):
+        return hash(self.casefold())
+
+
+class _IntMod2(int):
+    """Equal to any int of the same parity, so 1 == 3 though they print differently."""
+
+    def __eq__(self, other):
+        return int(self) % 2 == int(other) % 2
+
+    def __hash__(self):
+        return int(self) % 2
+
+
 class TestScalarTexts:
     """Lone scalars and columns of one scalar type print json.dumps bytes, and a column of
     one type json cannot write raises json's TypeError."""
@@ -728,7 +748,10 @@ class TestScalarTexts:
         [_Int(3), _Int(-1), _Int(3)],
         [_Str("%s"), _Str("\u00e9"), _Str("%s")],
         [_Float(-0.0), _Float(0.0), _Float("nan")],
-    ], ids=["bool", "none", "big-int", "int-subclass", "str-subclass", "float-subclass"])
+        [_FoldedStr("A"), _FoldedStr("a"), _FoldedStr("A")],  # equal, printed apart
+        [_IntMod2(1), _IntMod2(3), _IntMod2(1)],
+    ], ids=["bool", "none", "big-int", "int-subclass", "str-subclass", "float-subclass",
+            "case-folding-str", "int-mod-2"])
     def test_match_json_dumps(self, values):
         report = {"lone": {str(i): v for i, v in enumerate(values)},
                   "items": [[v] for v in values], "column": values,
@@ -989,6 +1012,23 @@ class TestPairTableBytes:
                    for b, d in zip(sources[i + 1:], row[i + 1:])]
         assert got == json.dumps({"degrees": degrees}, indent=2)
         assert len(formatted) == 3  # row, signed and other; the last row starts no pair
+
+    @pytest.mark.parametrize("where", ["list", "dict-rows"])
+    def test_nested_pair_tables_match_json_dumps(self, where):
+        # A pair table nests wherever a _DictRows may: a column of them is written value
+        # by value. A one-source table has no pairs.
+        sources = ["s0", "\u00e9", 's"2']
+        rows = [[0.0, 0.5, 0.25], [0.5, 0.0, -0.0], [0.25, -0.0, 0.0]]
+        tables = [cli._PairTable(sources, rows), cli._PairTable(sources[:1], rows[:1])]
+        degrees = [[{"a": a, "b": b, "degree": 1.0 - d}
+                    for i, (a, row) in enumerate(zip(table.sources, table.rows))
+                    for b, d in zip(table.sources[i + 1:], row[i + 1:])] for table in tables]
+        if where == "list":
+            report, expected = {"k": tables}, {"k": degrees}
+        else:
+            report = {"k": cli._DictRows({"t": tables, "n": [1, 2]})}
+            expected = {"k": [{"t": t, "n": n} for t, n in zip(degrees, [1, 2])]}
+        assert _written(report) == json.dumps(expected, indent=2)
 
 
 @st.composite
@@ -1472,6 +1512,19 @@ class TestModelErrorExits:
             cli.main(list(FRINGES_EXAMPLE), stdout=out, stderr=err)
         assert out.getvalue().startswith('{\n  "command": "fringes"')
         assert err.getvalue() == ""
+
+    def test_error_while_writing_to_out_is_not_an_exit(self, monkeypatch, tmp_path):
+        # The report's opening bytes reach the file only if main closed it.
+        def planted(values, sep):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli, "_floats", planted)
+        path = tmp_path / "report.json"
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match="planted"):
+            cli.main([*FRINGES_EXAMPLE, "--out", str(path)], stdout=out, stderr=err)
+        assert (out.getvalue(), err.getvalue()) == ("", "")
+        assert path.read_text(encoding="utf-8").startswith('{\n  "command": "fringes"')
 
 
 class TestByteOrderMark:
